@@ -21,29 +21,43 @@ exception flags its hardware counterpart exposes:
 
 DIV, SQRT, MUL and ADD are correctly rounded (native binary32 operations).
 LOG, SIN and COS evaluate in double precision and round once to binary32,
-which is faithful within 1 ulp of the correctly rounded result.
+which is faithful within 1 ulp of the correctly rounded result.  Each core
+is written with numpy operations only, so it takes a binary32 scalar or
+array and returns a result and flags of the same shape.
 
-`run_graph` composes the cores into the three published architectures and
-returns a per-invocation trace whose invocation counts match the static
-structure of each design: box-muller uses LOG, SQRT, SIN, COS and four
-multipliers; polar uses LOG, SQRT, DIV, five multipliers and one adder per
-accepted pair; clt uses SQRT, DIV, two multipliers and one adder beyond
-the k-1 additions that accumulate the uniform sum.  The polar graph takes
-disk coordinates v = 2u - 1 as its two inputs: the affine conditioning,
-like the integer-to-float conversion, happens upstream of the counted
-datapath.
+The three published architectures are defined once, in
+`transforms.ARCHITECTURES`, as functions of an evaluator.  This module
+adds two evaluators to the float64 reference one:
+
+* `Binary32` -- the core results on whole batches, without flags; the
+  batch generator `pipeline_stream` runs it.
+* the traced evaluator of `run_graph` -- a batch of one that goes through
+  the cores and records every invocation in a `PipelineTrace`.
+
+The batch generator is therefore bit-identical to chaining `run_graph`
+calls by construction, and the per-pass invocation counts
+(`expected_core_counts`) come from tracing one pass: box-muller uses LOG,
+SQRT, SIN, COS and four multipliers; polar uses LOG, SQRT, DIV, five
+multipliers and one adder per accepted pair; clt uses SQRT, DIV, two
+multipliers and one adder beyond the k-1 additions that accumulate the
+uniform sum.  The polar graph takes disk coordinates v = 2u - 1 as its two
+inputs: the affine conditioning, like the integer-to-float conversion,
+happens upstream of the counted datapath.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import transforms
+
 __all__ = [
     "ArityMismatchError",
+    "Binary32",
     "CoreResult",
     "PipelineTrace",
     "core_add",
@@ -63,12 +77,9 @@ __all__ = [
     "uniform_to_f32",
 ]
 
-F32_TWO_PI = np.float32(2.0 * math.pi)
-F32_NEG_TWO = np.float32(-2.0)
-F32_HALF = np.float32(0.5)
-F32_TWELFTH = np.float32(1.0 / 12.0)
-
-_SMALLEST_NORMAL = 2.0 ** -126
+_INF = np.float32(np.inf)
+_SMALLEST_NORMAL = np.float32(2.0 ** -126)
+_quiet = functools.partial(np.errstate, all="ignore")
 
 
 class ArityMismatchError(ValueError):
@@ -90,13 +101,13 @@ def f32_from_bits(bits):
     return np.uint32(bits).view(np.float32)
 
 
+_BIG_ENDIAN = slice(None, None, -1 if np.little_endian else 1)
+
+
 def _hex32(x):
-    return f"{f32_to_bits(x):08x}"
-
-
-def _is_denormal(x):
-    x = float(x)
-    return x != 0.0 and math.isfinite(x) and abs(x) < _SMALLEST_NORMAL
+    if type(x) is not np.float32:
+        x = np.float32(x)
+    return x.tobytes()[_BIG_ENDIAN].hex()
 
 
 @dataclass(frozen=True)
@@ -133,16 +144,15 @@ class PipelineTrace:
 
     def record(self, core, inputs, result):
         cycles = self.latencies.get(core, 1)
+        flags = {name: bool(on) for name, on in result.flags.items()}
         self.counts[core] += 1
         self.total_cycles += cycles
-        for name, on in result.flags.items():
-            if on:
-                self.flag_counts[name] += 1
+        self.flag_counts.update(name for name, on in flags.items() if on)
         self.records.append({
             "core": core,
             "input_bits_hex": [_hex32(v) for v in inputs],
             "output_bits_hex": _hex32(result.result),
-            "flags": result.flags,
+            "flags": flags,
             "cycles": cycles,
         })
         return result
@@ -160,37 +170,75 @@ class PipelineTrace:
         }
 
 
+class Binary32(transforms.Float64):
+    """Pipeline evaluator: the core results on whole binary32 batches.
+
+    No flags are formed here; `core_*` add them to the same results.
+    """
+
+    mode = "pipeline"
+    dtype = np.float32
+
+    @staticmethod
+    def log(x):
+        return np.float32(np.log(np.float64(x)))
+
+    @staticmethod
+    def sin(x):
+        return np.float32(np.sin(np.float64(x)))
+
+    @staticmethod
+    def cos(x):
+        return np.float32(np.cos(np.float64(x)))
+
+    @staticmethod
+    def core_counts(algo, k, accepted, rejected):
+        """Core invocation totals of `accepted` and `rejected` graph passes."""
+        counts = Counter()
+        for ok, passes in ((True, accepted), (False, rejected)):
+            if passes:
+                for core, n in expected_core_counts(algo, k=k, accepted=ok).items():
+                    counts[core] += n * passes
+        return dict(counts)
+
+
+def _no_port(r):
+    """Constant flag of a port the core lacks, shaped like r without allocating."""
+    return np.broadcast_to(False, r.shape) if r.shape else False
+
+
+def _finite(x):
+    return abs(x) < _INF
+
+
+def _arith(op, a, b):
+    """A MUL/ADD core: op's result with the generic IEEE-derived flags."""
+    a, b = np.float32(a), np.float32(b)
+    with _quiet():
+        r = op(a, b)
+    return CoreResult(result=r, zero=r == 0, nan=r != r,
+                      overflow=(abs(r) == _INF) & _finite(a) & _finite(b),
+                      underflow=(r != 0) & (abs(r) < _SMALLEST_NORMAL))
+
+
 def core_log(x):
     """Natural logarithm core (binary32 in, binary32 out)."""
-    xf = np.float32(x)
-    v = float(xf)
-    if math.isnan(v):
-        r = np.float32("nan")
-    elif v < 0.0:
-        r = np.float32("nan")
-    elif v == 0.0:
-        r = np.float32("-inf")
-    elif math.isinf(v):
-        r = np.float32("inf")
-    else:
-        r = np.float32(math.log(v))
-    return CoreResult(result=r, zero=bool(r == 0.0),
-                      nan=math.isnan(v) or v < 0.0)
+    x = np.float32(x)
+    with _quiet():
+        r = Binary32.log(x)
+    return CoreResult(result=r, zero=r == 0, nan=(x != x) | (x < 0),
+                      overflow=_no_port(r), underflow=_no_port(r))
 
 
 def core_sincos(x, mode):
     """Trigonometric core; `mode` is "sin" or "cos".  No exception ports."""
-    xf = np.float32(x)
-    v = float(xf)
-    if not math.isfinite(v):
-        r = np.float32("nan")
-    elif mode == "sin":
-        r = np.float32(math.sin(v))
-    elif mode == "cos":
-        r = np.float32(math.cos(v))
-    else:
+    if mode not in ("sin", "cos"):
         raise ValueError(f"mode must be 'sin' or 'cos', got {mode!r}")
-    return CoreResult(result=r)
+    x = np.float32(x)
+    with _quiet():
+        r = getattr(Binary32, mode)(x)
+    none = _no_port(r)
+    return CoreResult(result=r, zero=none, nan=none, overflow=none, underflow=none)
 
 
 def core_sin(x):
@@ -203,62 +251,80 @@ def core_cos(x):
 
 def core_div(a, b):
     """Correctly rounded binary32 division with the documented flag set."""
-    af, bf = np.float32(a), np.float32(b)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                     under="ignore"):
-        q = np.divide(af, bf)
-    a64, b64, q64 = float(af), float(bf), float(q)
-    finite_inputs = math.isfinite(a64) and math.isfinite(b64)
+    a, b = np.float32(a), np.float32(b)
+    with _quiet():
+        q = Binary32.div(a, b)
+    nonzero_inputs = (a != 0) & (b != 0)
     return CoreResult(
-        result=q,
-        zero=bool(q64 == 0.0),
-        nan=math.isnan(q64),
-        overflow=math.isinf(q64) and finite_inputs and b64 != 0.0,
-        underflow=(q64 == 0.0 or _is_denormal(q64)) and a64 != 0.0 and b64 != 0.0,
+        result=q, zero=q == 0, nan=q != q,
+        overflow=(abs(q) == _INF) & _finite(a) & _finite(b) & (b != 0),
+        underflow=(abs(q) < _SMALLEST_NORMAL) & nonzero_inputs,
     )
 
 
 def core_sqrt(x):
     """Correctly rounded binary32 square root with the documented flag set."""
-    xf = np.float32(x)
-    with np.errstate(invalid="ignore"):
-        r = np.sqrt(xf)
-    v, rv = float(xf), float(r)
-    return CoreResult(
-        result=r,
-        zero=bool(rv == 0.0),
-        nan=math.isnan(rv),
-        overflow=rv == math.inf,
-    )
-
-
-def _generic_flags(r, a64, b64):
-    rv = float(r)
-    return dict(
-        zero=bool(rv == 0.0),
-        nan=math.isnan(rv),
-        overflow=math.isinf(rv) and math.isfinite(a64) and math.isfinite(b64),
-        underflow=_is_denormal(rv),
-    )
+    x = np.float32(x)
+    with _quiet():
+        r = Binary32.sqrt(x)
+    return CoreResult(result=r, zero=r == 0, nan=r != r, overflow=r == _INF,
+                      underflow=_no_port(r))
 
 
 def core_mul(a, b):
-    af, bf = np.float32(a), np.float32(b)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        r = np.multiply(af, bf)
-    return CoreResult(result=r, **_generic_flags(r, float(af), float(bf)))
+    return _arith(Binary32.mul, a, b)
 
 
 def core_add(a, b):
-    af, bf = np.float32(a), np.float32(b)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        r = np.add(af, bf)
-    return CoreResult(result=r, **_generic_flags(r, float(af), float(bf)))
+    return _arith(Binary32.add, a, b)
 
 
 def uniform_to_f32(word, order):
     """Convert an n-bit LFSR word to the binary32 nearest word / 2**n."""
     return np.float32(float(word) * 2.0 ** -order)
+
+
+class _Rejected(Exception):
+    """A traced polar proposal fell outside the unit disk."""
+
+
+class _Traced:
+    """Batch-of-one evaluator: every operation runs its core and is recorded."""
+
+    dtype = np.float32
+
+    def __init__(self, trace):
+        self.trace = trace
+
+    def _run(self, name, core, *xs):
+        return self.trace.record(name, xs, core(*xs)).result
+
+    def log(self, x):
+        return self._run("log", core_log, x)
+
+    def sin(self, x):
+        return self._run("sin", core_sin, x)
+
+    def cos(self, x):
+        return self._run("cos", core_cos, x)
+
+    def sqrt(self, x):
+        return self._run("sqrt", core_sqrt, x)
+
+    def mul(self, a, b):
+        return self._run("mul", core_mul, a, b)
+
+    def add(self, a, b):
+        return self._run("add", core_add, a, b)
+
+    def div(self, a, b):
+        return self._run("div", core_div, a, b)
+
+    @staticmethod
+    def accept(keep, *xs):
+        if not keep:
+            raise _Rejected
+        return xs
 
 
 def run_graph(algo, inputs, *, k=None, latencies=None, trace=None):
@@ -271,181 +337,39 @@ def run_graph(algo, inputs, *, k=None, latencies=None, trace=None):
     """
     t = trace if trace is not None else PipelineTrace(latencies=latencies or {})
     xs = [np.float32(v) for v in inputs]
-
-    if algo == "box-muller":
-        if len(xs) != 2:
-            raise ArityMismatchError("box-muller graph takes 2 inputs")
-        u1, u2 = xs
-        l = t.record("log", [u1], core_log(u1)).result
-        m1 = t.record("mul", [F32_NEG_TWO, l], core_mul(F32_NEG_TWO, l)).result
-        r = t.record("sqrt", [m1], core_sqrt(m1)).result
-        theta = t.record("mul", [F32_TWO_PI, u2], core_mul(F32_TWO_PI, u2)).result
-        s = t.record("sin", [theta], core_sin(theta)).result
-        c = t.record("cos", [theta], core_cos(theta)).result
-        alpha = t.record("mul", [r, s], core_mul(r, s)).result
-        beta = t.record("mul", [r, c], core_mul(r, c)).result
-        return [alpha, beta], t
-
-    if algo == "polar":
-        if len(xs) != 2:
-            raise ArityMismatchError("polar graph takes 2 inputs")
-        v1, v2 = xs
-        sq1 = t.record("mul", [v1, v1], core_mul(v1, v1)).result
-        sq2 = t.record("mul", [v2, v2], core_mul(v2, v2)).result
-        s = t.record("add", [sq1, sq2], core_add(sq1, sq2)).result
-        if not 0.0 < float(s) < 1.0:
-            return [], t
-        l = t.record("log", [s], core_log(s)).result
-        m = t.record("mul", [F32_NEG_TWO, l], core_mul(F32_NEG_TWO, l)).result
-        d = t.record("div", [m, s], core_div(m, s)).result
-        r = t.record("sqrt", [d], core_sqrt(d)).result
-        alpha = t.record("mul", [v1, r], core_mul(v1, r)).result
-        beta = t.record("mul", [v2, r], core_mul(v2, r)).result
-        return [alpha, beta], t
-
+    if algo not in transforms.ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
     if algo == "clt":
         kk = k if k is not None else len(xs)
         if len(xs) != kk or kk < 2:
             raise ArityMismatchError(f"clt graph takes k={kk} inputs, got {len(xs)}")
-        acc = xs[0]
-        for u in xs[1:]:
-            acc = t.record("add", [acc, u], core_add(acc, u)).result
-        kf = np.float32(kk)
-        m1 = t.record("mul", [kf, F32_HALF], core_mul(kf, F32_HALF)).result
-        num = t.record("add", [acc, -m1], core_add(acc, -m1)).result
-        m2 = t.record("mul", [kf, F32_TWELFTH], core_mul(kf, F32_TWELFTH)).result
-        den = t.record("sqrt", [m2], core_sqrt(m2)).result
-        z = t.record("div", [num, den], core_div(num, den)).result
-        return [z], t
+    elif len(xs) != 2:
+        raise ArityMismatchError(f"{algo} graph takes 2 inputs")
+    try:
+        outputs = transforms.ARCHITECTURES[algo](_Traced(t), xs)
+    except _Rejected:
+        return [], t
+    return list(outputs), t
 
-    raise ValueError(f"unknown algorithm {algo!r}")
+
+@functools.lru_cache
+def _traced_counts(algo, k, accepted):
+    if algo == "clt":
+        inputs = [0.5] * k
+    else:  # (1, 1) lies outside the polar disk
+        inputs = [0.5, 0.5] if accepted else [1.0, 1.0]
+    _, trace = run_graph(algo, inputs)
+    return tuple(trace.counts.items())
 
 
 def expected_core_counts(algo, *, k=12, accepted=True):
-    """Static invocation counts of one graph pass (one pair, or one value)."""
-    if algo == "box-muller":
-        return {"log": 1, "sqrt": 1, "sin": 1, "cos": 1, "mul": 4}
-    if algo == "polar":
-        if not accepted:
-            return {"mul": 2, "add": 1}
-        return {"log": 1, "sqrt": 1, "div": 1, "mul": 5, "add": 1}
-    if algo == "clt":
-        return {"sqrt": 1, "div": 1, "mul": 2, "add": k}
-    raise ValueError(f"unknown algorithm {algo!r}")
-
-
-# -- vectorized batch path -----------------------------------------------------
-#
-# The batch path reproduces the scalar graphs bit for bit: pure binary32
-# arithmetic (mul/add/div/sqrt/compare) is IEEE-identical between numpy
-# array ops and the scalar cores, and the transcendentals below call the
-# same double-precision math.* routines the scalar cores use before the
-# single rounding to binary32.
-
-
-def _log32(values32):
-    return np.array([math.log(float(v)) for v in values32],
-                    dtype=np.float64).astype(np.float32)
-
-
-def _sin32(theta32):
-    return np.array([math.sin(float(v)) for v in theta32],
-                    dtype=np.float64).astype(np.float32)
-
-
-def _cos32(theta32):
-    return np.array([math.cos(float(v)) for v in theta32],
-                    dtype=np.float64).astype(np.float32)
-
-
-def _uniforms_f32(source, count):
-    words = source.words(count)
-    return (words.astype(np.float64) * 2.0 ** -source.config.order).astype(np.float32)
-
-
-def _scaled_counts(per_pass, passes):
-    return {core: n * passes for core, n in per_pass.items()}
+    """Invocation counts of one graph pass (one pair, or one value),
+    traced from one pass of the architecture's definition."""
+    return dict(_traced_counts(algo, k if algo == "clt" else 0,
+                               accepted or algo != "polar"))
 
 
 def pipeline_stream(algo, sources, count, *, clt=None):
     """Batch pipeline-mode generation; see transforms.stream for the contract."""
-    from .transforms import CltConfig, StreamResult
-
-    clt = clt or CltConfig()
-    if count == 0:
-        return StreamResult(values=np.empty(0, dtype=np.float32),
-                            uniforms_consumed=0, algorithm=algo,
-                            mode="pipeline", core_counts={})
-
-    if algo == "box-muller":
-        if len(sources) != 2:
-            raise ValueError("box-muller needs exactly 2 uniform sources")
-        pairs = (count + 1) // 2
-        u1 = _uniforms_f32(sources[0], pairs)
-        u2 = _uniforms_f32(sources[1], pairs)
-        l = _log32(u1)
-        r = np.sqrt(F32_NEG_TWO * l)
-        theta = F32_TWO_PI * u2
-        out = np.empty(2 * pairs, dtype=np.float32)
-        out[0::2] = r * _sin32(theta)
-        out[1::2] = r * _cos32(theta)
-        return StreamResult(
-            values=out[:count], uniforms_consumed=2 * pairs, algorithm=algo,
-            mode="pipeline",
-            core_counts=_scaled_counts(expected_core_counts("box-muller"), pairs),
-        )
-
-    if algo == "polar":
-        if len(sources) != 2:
-            raise ValueError("polar needs exactly 2 uniform sources")
-        two = np.float32(2.0)
-        one = np.float32(1.0)
-        chunks = []
-        have = 0
-        proposed = accepted = 0
-        while have < count:
-            need_pairs = (count - have + 1) // 2
-            block = max(256, int(need_pairs / 0.80) + 1)
-            v1 = two * _uniforms_f32(sources[0], block) - one
-            v2 = two * _uniforms_f32(sources[1], block) - one
-            s = v1 * v1 + v2 * v2
-            keep = (s > np.float32(0.0)) & (s < one)
-            v1k, v2k, sk = v1[keep], v2[keep], s[keep]
-            m = F32_NEG_TWO * _log32(sk)
-            factor = np.sqrt(m / sk)
-            vals = np.empty(2 * len(sk), dtype=np.float32)
-            vals[0::2] = v1k * factor
-            vals[1::2] = v2k * factor
-            proposed += block
-            accepted += len(sk)
-            chunks.append(vals)
-            have += vals.size
-        counts = Counter()
-        counts.update(_scaled_counts(expected_core_counts("polar"), accepted))
-        counts.update(_scaled_counts(expected_core_counts("polar", accepted=False),
-                                     proposed - accepted))
-        return StreamResult(
-            values=np.concatenate(chunks)[:count], uniforms_consumed=2 * proposed,
-            algorithm=algo, mode="pipeline",
-            pairs_proposed=proposed, pairs_accepted=accepted,
-            core_counts=dict(counts),
-        )
-
-    if algo == "clt":
-        k = clt.k
-        if len(sources) != k:
-            raise ValueError(f"clt with k={k} needs {k} uniform sources")
-        acc = _uniforms_f32(sources[0], count)
-        for src in sources[1:]:
-            acc = acc + _uniforms_f32(src, count)
-        kf = np.float32(k)
-        num = acc + (-(kf * F32_HALF))
-        den = np.sqrt(kf * F32_TWELFTH)
-        z = num / den
-        return StreamResult(
-            values=z, uniforms_consumed=k * count, algorithm=algo,
-            mode="pipeline",
-            core_counts=_scaled_counts(expected_core_counts("clt", k=k), count),
-        )
-
-    raise ValueError(f"unknown algorithm {algo!r}")
+    return transforms.evaluate(Binary32, algo, sources, count,
+                               clt or transforms.CltConfig())

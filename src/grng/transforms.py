@@ -13,14 +13,19 @@ standard-normal values:
   the exact law is the Irwin-Hall distribution, so the output support is
   bounded by |z| <= sqrt(3k).
 
-Scalar operations are the per-sample contract surface; `stream` is the
-batch driver that owns its uniform sources and runs vectorized, in either
-double-precision reference mode or the binary32 pipeline mode.
+Scalar operations are the per-sample contract surface, evaluated with
+math.* in double precision; they stay independent of the batch path, which
+tests compare against them.  The batch datapath of each algorithm is
+written once, in `ARCHITECTURES`, as a function of an evaluator that
+supplies log, sin, cos, sqrt, mul, add and div: `Float64` here (reference
+mode), and the binary32 and traced binary32 evaluators of `fp_pipeline`.
+`stream` is the batch driver for both modes; it owns its uniform sources.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,23 +33,26 @@ import numpy as np
 
 __all__ = [
     "ALGORITHMS",
+    "ARCHITECTURES",
     "CltConfig",
     "DomainError",
+    "Float64",
     "GaussianPair",
     "LengthMismatchError",
     "PolarDraw",
     "StreamResult",
     "box_muller",
     "central_limit",
+    "evaluate",
     "polar",
     "polar_draw",
     "stream",
 ]
 
-#: Algorithm identifiers shared with the CLI.
-ALGORITHMS = ("box-muller", "polar", "clt")
-
 _TWO_PI = 2.0 * math.pi
+# mean and variance of U(0, 1)
+_HALF = 0.5
+_TWELFTH = 1.0 / 12.0
 
 
 class DomainError(ValueError):
@@ -63,26 +71,22 @@ class GaussianPair:
 
 @dataclass(frozen=True)
 class CltConfig:
-    """Sum-of-uniforms setup: k summands with per-uniform mean and variance.
+    """Sum-of-uniforms setup: k summands of U(0, 1).
 
-    The defaults (mu = 1/2, sigma2 = 1/12) are the moments of U(0, 1); with
-    k = 12 the standardizing divisor sqrt(k * sigma2) is exactly 1.
+    Each summand has mean 1/2 and variance 1/12, so with k = 12 the
+    standardizing divisor sqrt(k/12) is exactly 1.
     """
 
     k: int = 12
-    mu: float = 0.5
-    sigma2: float = 1.0 / 12.0
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
 
     @property
     def support_bound(self):
         """Largest possible |z|: (k/2) / sqrt(k/12) = sqrt(3k)."""
-        return (self.k * self.mu) / math.sqrt(self.k * self.sigma2)
+        return math.sqrt(3 * self.k)
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def polar(u1, u2):
 
 
 def central_limit(us, config=CltConfig()):
-    """Standardized sum of config.k uniforms: (S - k mu) / sqrt(k sigma2)."""
+    """Standardized sum of config.k uniforms: (S - k/2) / sqrt(k/12)."""
     values = [_value(u) for u in us]
     if len(values) != config.k:
         raise LengthMismatchError(
@@ -155,7 +159,73 @@ def central_limit(us, config=CltConfig()):
     for v in values:
         _check_open_unit("u", v)
     total = math.fsum(values)
-    return (total - config.k * config.mu) / math.sqrt(config.k * config.sigma2)
+    return (total - config.k * _HALF) / math.sqrt(config.k * _TWELFTH)
+
+
+# -- architectures ------------------------------------------------------------
+#
+# One definition per datapath.  `ev` supplies the seven cores (log, sin,
+# cos, sqrt, mul, add, div), the number type `dtype` its constants are
+# built in, and `accept(keep, *xs)`, which keeps the proposals a mask
+# selects.  The order of operations is the order of the hardware cores:
+# the traced evaluator records them in this order.
+
+
+def _box_muller(ev, inputs):
+    u1, u2 = inputs
+    r = ev.sqrt(ev.mul(ev.dtype(-2.0), ev.log(u1)))
+    theta = ev.mul(ev.dtype(_TWO_PI), u2)
+    s, c = ev.sin(theta), ev.cos(theta)
+    return ev.mul(r, s), ev.mul(r, c)
+
+
+def _polar(ev, inputs):
+    """Disk coordinates in; proposals with s outside (0, 1) drop out."""
+    v1, v2 = inputs
+    s = ev.add(ev.mul(v1, v1), ev.mul(v2, v2))
+    v1, v2, s = ev.accept((s > 0) & (s < 1), v1, v2, s)
+    r = ev.sqrt(ev.div(ev.mul(ev.dtype(-2.0), ev.log(s)), s))
+    return ev.mul(v1, r), ev.mul(v2, r)
+
+
+def _clt(ev, inputs):
+    """k uniforms in (an iterable, summed as it is drawn)."""
+    inputs = iter(inputs)
+    acc, k = next(inputs), 1
+    for u in inputs:
+        acc, k = ev.add(acc, u), k + 1
+        del u  # a batch summand is freed before the next one is drawn
+    kf = ev.dtype(k)
+    num = ev.add(acc, -ev.mul(kf, ev.dtype(_HALF)))
+    den = ev.sqrt(ev.mul(kf, ev.dtype(_TWELFTH)))
+    return (ev.div(num, den),)
+
+
+#: Datapath of each algorithm, as a function of (evaluator, graph inputs).
+ARCHITECTURES = {"box-muller": _box_muller, "polar": _polar, "clt": _clt}
+
+#: Algorithm identifiers shared with the CLI.
+ALGORITHMS = tuple(ARCHITECTURES)
+
+
+class Float64:
+    """Reference evaluator: numpy float64 operations on whole batches."""
+
+    mode = "reference"
+    dtype = np.float64
+    log, sin, cos, sqrt = np.log, np.sin, np.cos, np.sqrt
+    # the operators run numpy's ufuncs on arrays and its scalar fast path
+    # on the scalars of a traced pass
+    mul, add, div = operator.mul, operator.add, operator.truediv
+
+    @staticmethod
+    def accept(keep, *xs):
+        return [x[keep] for x in xs]
+
+    @staticmethod
+    def core_counts(algo, k, accepted, rejected):
+        """Core invocation totals; the reference datapath has no cores."""
+        return None
 
 
 # -- batch driver -------------------------------------------------------------
@@ -179,24 +249,47 @@ class StreamResult:
     core_counts: Optional[dict] = None
 
 
-def _box_muller_block(u1, u2):
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = _TWO_PI * u2
-    out = np.empty(2 * len(u1), dtype=np.float64)
-    out[0::2] = r * np.sin(theta)
-    out[1::2] = r * np.cos(theta)
-    return out
+def evaluate(ev, algo, sources, count, clt=CltConfig()):
+    """Run `algo`'s architecture over `sources` under evaluator `ev`.
 
-
-def _polar_block(v1, v2):
-    s = v1 * v1 + v2 * v2
-    keep = (s > 0.0) & (s < 1.0)
-    v1k, v2k, sk = v1[keep], v2[keep], s[keep]
-    factor = np.sqrt(-2.0 * np.log(sk) / sk)
-    out = np.empty(2 * len(sk), dtype=np.float64)
-    out[0::2] = v1k * factor
-    out[1::2] = v2k * factor
-    return out, int(keep.sum())
+    The batch driver of both modes; see `stream` for the contract.
+    """
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    arity = clt.k if algo == "clt" else 2
+    if len(sources) != arity:
+        raise LengthMismatchError(
+            f"{algo} needs {arity} uniform sources, got {len(sources)}")
+    width = 1 if algo == "clt" else 2
+    graph = ARCHITECTURES[algo]
+    one, two = ev.dtype(1.0), ev.dtype(2.0)
+    chunks = [np.empty(0, dtype=ev.dtype)]  # all there is when count == 0
+    have = proposed = 0
+    while have < count:
+        passes = -(-(count - have) // width)
+        if algo == "polar":
+            # under-propose slightly (acceptance rate is pi/4 ~ 0.785) so the
+            # final top-up blocks stay small and consumption stays near 4/pi
+            passes = max(256, int(passes / 0.80) + 1)
+        inputs = (src.uniforms(passes).astype(ev.dtype, copy=False)
+                  for src in sources)
+        if algo == "polar":
+            inputs = [two * u - one for u in inputs]
+        chunks.append(np.stack(graph(ev, inputs), axis=1).reshape(-1))
+        have += chunks[-1].size
+        proposed += passes
+    accepted = have // width
+    values = np.concatenate(chunks) if len(chunks) > 2 else chunks[-1]
+    polar = algo == "polar"
+    return StreamResult(
+        values=values[:count], uniforms_consumed=arity * proposed,
+        algorithm=algo, mode=ev.mode,
+        pairs_proposed=proposed if polar else 0,
+        pairs_accepted=accepted if polar else 0,
+        core_counts=ev.core_counts(algo, clt.k, accepted, proposed - accepted),
+    )
 
 
 def stream(algo, sources, count, *, mode="reference", clt=CltConfig()):
@@ -209,61 +302,10 @@ def stream(algo, sources, count, *, mode="reference", clt=CltConfig()):
     its sources in proposal blocks, so uniforms_consumed can slightly
     exceed the minimum needed to reach `count` outputs.
     """
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-    if count < 0:
-        raise ValueError("count must be >= 0")
     if mode == "pipeline":
         from . import fp_pipeline
 
         return fp_pipeline.pipeline_stream(algo, sources, count, clt=clt)
     if mode != "reference":
         raise ValueError(f"unknown mode {mode!r}")
-
-    if count == 0:
-        return StreamResult(values=np.empty(0), uniforms_consumed=0,
-                            algorithm=algo, mode=mode)
-
-    if algo == "box-muller":
-        if len(sources) != 2:
-            raise ValueError("box-muller needs exactly 2 uniform sources")
-        pairs = (count + 1) // 2
-        out = _box_muller_block(sources[0].uniforms(pairs),
-                                sources[1].uniforms(pairs))
-        return StreamResult(values=out[:count], uniforms_consumed=2 * pairs,
-                            algorithm=algo, mode=mode)
-
-    if algo == "polar":
-        if len(sources) != 2:
-            raise ValueError("polar needs exactly 2 uniform sources")
-        chunks = []
-        have = 0
-        proposed = accepted = 0
-        while have < count:
-            need_pairs = (count - have + 1) // 2
-            # under-propose slightly (acceptance rate is pi/4 ~ 0.785) so the
-            # final top-up blocks stay small and consumption stays near 4/pi
-            block = max(256, int(need_pairs / 0.80) + 1)
-            v1 = 2.0 * sources[0].uniforms(block) - 1.0
-            v2 = 2.0 * sources[1].uniforms(block) - 1.0
-            vals, kept = _polar_block(v1, v2)
-            proposed += block
-            accepted += kept
-            chunks.append(vals)
-            have += vals.size
-        out = np.concatenate(chunks)[:count]
-        return StreamResult(values=out, uniforms_consumed=2 * proposed,
-                            algorithm=algo, mode=mode,
-                            pairs_proposed=proposed, pairs_accepted=accepted)
-
-    # clt
-    if len(sources) != clt.k:
-        raise LengthMismatchError(
-            f"clt with k={clt.k} needs {clt.k} uniform sources, got {len(sources)}"
-        )
-    total = np.zeros(count, dtype=np.float64)
-    for src in sources:
-        total += src.uniforms(count)
-    z = (total - clt.k * clt.mu) / math.sqrt(clt.k * clt.sigma2)
-    return StreamResult(values=z, uniforms_consumed=clt.k * count,
-                        algorithm=algo, mode=mode)
+    return evaluate(Float64, algo, sources, count, clt)

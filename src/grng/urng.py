@@ -9,11 +9,13 @@ multi-return shift register.
 
 For a primitive characteristic polynomial the state orbit of any nonzero
 seed has period 2**n - 1 and the output bit stream is an m-sequence.
-Uniform values are built by packing n output bits per word (MSB first) and
-dividing by 2**n, which keeps every value strictly inside (0, 1): an
-m-sequence has no run of n zeros, so a packed word is never 0.  Non-maximal
-polynomials are accepted with a warning, and zero words (possible only
-then) are skipped by resampling.
+Non-maximal polynomials are accepted with a warning.  Uniform values are
+built by packing n output bits per word (MSB first) and dividing by 2**n,
+which keeps every value strictly inside (0, 1) for every valid config: n
+zero output bits in a row mean n clocks without feedback, which only the
+all-zero register gives, and the step is a bijection that fixes 0 (the
+polynomial has a constant term), so a nonzero seed never reaches it.  A
+packed word is therefore never 0.
 """
 
 from __future__ import annotations
@@ -339,16 +341,9 @@ class LfsrState:
         return w
 
     def next_uniform(self):
-        """Next uniform sample: word / 2**n, resampling any zero word.
-
-        Zero words cannot occur under a primitive polynomial (an m-sequence
-        has no run of n zeros), so resampling only ever triggers for
-        non-maximal tap masks.
-        """
+        """Next uniform sample: word / 2**n (the word is never 0)."""
         n = self.config.order
         w = self.next_word()
-        while w == 0:
-            w = self.next_word()
         value = float(w) * 2.0 ** -n
         if value >= 1.0:  # only reachable for n > 53 via float rounding
             value = float(np.nextafter(1.0, 0.0))
@@ -413,17 +408,11 @@ class LfsrState:
     def uniforms(self, count, lanes=1024):
         """Vectorized equivalent of `count` next_uniform() values."""
         n = self.config.order
-        out = np.empty(0, dtype=np.float64)
-        need = count
-        while need > 0:
-            w = self.words(need, lanes=lanes)
-            w = w[w != 0]  # resample zero words (non-maximal taps only)
-            vals = w.astype(np.float64) * 2.0 ** -n
-            if n > 53:
-                np.minimum(vals, np.nextafter(1.0, 0.0), out=vals)
-            out = vals if out.size == 0 else np.concatenate([out, vals])
-            need = count - out.size
-        return out
+        vals = self.words(count, lanes=lanes).astype(np.float64)
+        vals *= 2.0 ** -n
+        if n > 53:
+            np.minimum(vals, np.nextafter(1.0, 0.0), out=vals)
+        return vals
 
 
 def new_lfsr(config):

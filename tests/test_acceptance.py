@@ -262,37 +262,46 @@ def test_criterion_6_statistical_test_oracles():
 
 
 def _f32_patterns(n, master):
-    state = master
-    out = np.empty(n, dtype=np.uint32)
-    for i in range(n):
-        state, z = urng.splitmix64(state)
-        out[i] = z & 0xFFFFFFFF
-    return out.view(np.float32)
+    """The low 32 bits of n successive splitmix64 outputs, as binary32.
+
+    Vectorized urng.splitmix64: the k-th state is master + k * gamma, and
+    uint64 array arithmetic wraps modulo 2^64 like the scalar masks.
+    """
+    state = np.uint64(master) + np.arange(1, n + 1, dtype=np.uint64) * \
+        np.uint64(0x9E3779B97F4A7C15)
+    z = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z.astype(np.uint32).view(np.float32)
 
 
 def _ieee_fields(x):
-    b = int(np.float32(x).view(np.uint32))
+    b = np.asarray(x, dtype=np.float32).view(np.uint32)
     return b >> 31, (b >> 23) & 0xFF, b & 0x7FFFFF
 
 
 def _is_nan32(x):
     s, e, f = _ieee_fields(x)
-    return e == 255 and f != 0
+    return (e == 255) & (f != 0)
 
 
 def _is_inf32(x):
     s, e, f = _ieee_fields(x)
-    return e == 255 and f == 0
+    return (e == 255) & (f == 0)
 
 
 def _is_zero32(x):
     s, e, f = _ieee_fields(x)
-    return e == 0 and f == 0
+    return (e == 0) & (f == 0)
 
 
 def _is_denorm32(x):
     s, e, f = _ieee_fields(x)
-    return e == 0 and f != 0
+    return (e == 0) & (f != 0)
+
+
+def _negative32(x):
+    return (_ieee_fields(x)[0] == 1) & ~_is_zero32(x) & ~_is_nan32(x)
 
 
 def test_criterion_7_pipeline_fidelity():
@@ -335,43 +344,46 @@ def test_criterion_7_pipeline_fidelity():
         outs, _ = fp.run_graph("clt", chunk)
         mismatch += bits(outs[0]) != bits(clt_graph_oracle(chunk))
 
-    flag_fail = 0
-    pats = _f32_patterns(1_000_000, 27182)
-    for x in pats:
-        res = fp.core_log(x)
-        sign = _ieee_fields(x)[0]
-        negative = bool(sign) and not _is_zero32(x) and not _is_nan32(x)
-        flag_fail += res.nan != (_is_nan32(x) or negative)
-        flag_fail += res.zero != (bits(x) == 0x3F800000)
+    # the vectorized patterns start as the scalar splitmix64 stream does
+    for master in (31415, 27182, 16180, 14142, 141421):
+        state, prefix = master, []
+        for _ in range(1000):
+            state, z = urng.splitmix64(state)
+            prefix.append(z & 0xFFFFFFFF)
+        assert list(_f32_patterns(1000, master).view(np.uint32)) == prefix
 
-    pats = _f32_patterns(1_000_000, 16180)
-    for x in pats:
-        res = fp.core_sqrt(x)
-        sign = _ieee_fields(x)[0]
-        negative = bool(sign) and not _is_zero32(x) and not _is_nan32(x)
-        flag_fail += res.nan != (_is_nan32(x) or negative)
-        flag_fail += res.zero != _is_zero32(res.result)
-        flag_fail += res.overflow != (_is_inf32(x) and not sign)
+    # each core runs once on a whole pattern array; the predicates are the
+    # same IEEE bit-field expressions, evaluated elementwise
+    miss = lambda got, want: int(np.count_nonzero(got != want))  # noqa: E731
+    flag_fail = 0
+    x = _f32_patterns(1_000_000, 27182)
+    res = fp.core_log(x)
+    flag_fail += miss(res.nan, _is_nan32(x) | _negative32(x))
+    flag_fail += miss(res.zero, x.view(np.uint32) == 0x3F800000)
+
+    x = _f32_patterns(1_000_000, 16180)
+    res = fp.core_sqrt(x)
+    flag_fail += miss(res.nan, _is_nan32(x) | _negative32(x))
+    flag_fail += miss(res.zero, _is_zero32(res.result))
+    flag_fail += miss(res.overflow, _is_inf32(x) & (_ieee_fields(x)[0] == 0))
 
     pats = _f32_patterns(2_000_000, 14142)
-    for a, b in zip(pats[0::2], pats[1::2]):
-        res = fp.core_div(a, b)
-        q = res.result
-        finite = not (_is_nan32(a) or _is_inf32(a) or _is_nan32(b)
-                      or _is_inf32(b))
-        flag_fail += res.nan != _is_nan32(q)
-        flag_fail += res.zero != _is_zero32(q)
-        flag_fail += res.overflow != (_is_inf32(q) and finite
-                                      and not _is_zero32(b))
-        flag_fail += res.underflow != ((_is_zero32(q) or _is_denorm32(q))
-                                       and not _is_zero32(a)
-                                       and not _is_zero32(b))
+    a, b = pats[0::2], pats[1::2]
+    res = fp.core_div(a, b)
+    q = res.result
+    finite = ~(_is_nan32(a) | _is_inf32(a) | _is_nan32(b) | _is_inf32(b))
+    flag_fail += miss(res.nan, _is_nan32(q))
+    flag_fail += miss(res.zero, _is_zero32(q))
+    flag_fail += miss(res.overflow, _is_inf32(q) & finite & ~_is_zero32(b))
+    flag_fail += miss(res.underflow, (_is_zero32(q) | _is_denorm32(q))
+                      & ~_is_zero32(a) & ~_is_zero32(b))
 
-    pats = _f32_patterns(1_000_000, 141421)
-    for x in pats:
-        if any(fp.core_sincos(x, "sin").flags.values()) or \
-           any(fp.core_sincos(x, "cos").flags.values()):
-            flag_fail += 1
+    x = _f32_patterns(1_000_000, 141421)
+    raised = np.zeros(x.shape, dtype=bool)
+    for mode in ("sin", "cos"):
+        for on in fp.core_sincos(x, mode).flags.values():
+            raised |= on
+    flag_fail += int(np.count_nonzero(raised))
 
     counts_ok = (
         fp.expected_core_counts("box-muller")

@@ -268,6 +268,39 @@ class TestFlagPredicates:
             assert res.overflow == (self.is_inf(x) and not sign)
 
 
+class TestArrayCores:
+    """A core called on an array equals the core called on each element."""
+
+    SPECIALS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0 ** -149, -(2.0 ** -149),
+                2.0 ** -126, 3.4e38, -3.4e38, math.inf, -math.inf, math.nan]
+
+    def patterns(self, n, master):
+        state = master
+        out = []
+        while len(out) < n:
+            state, z = urng.splitmix64(state)
+            out.append(from_bits(z & 0xFFFFFFFF))
+        return np.array([F(v) for v in self.SPECIALS] + out, dtype=np.float32)
+
+    @pytest.mark.parametrize("core,arity", [
+        (core_log, 1), (core_sin, 1), (core_cos, 1), (core_sqrt, 1),
+        (core_div, 2), (core_mul, 2), (core_add, 2)])
+    def test_elementwise(self, core, arity):
+        xs = [self.patterns(400, 7 + i) for i in range(arity)]
+        # every special value meets every other as the second operand too
+        if arity == 2:
+            xs[1][:len(self.SPECIALS)] = xs[0][:len(self.SPECIALS)][::-1]
+        batch = core(*xs)
+        assert batch.result.shape == xs[0].shape
+        for name, flag in batch.flags.items():
+            assert np.shape(flag) == xs[0].shape, name
+        for i in range(xs[0].size):
+            one = core(*(x[i] for x in xs))
+            assert bits_of(one.result) == bits_of(batch.result[i])
+            assert {k: bool(v) for k, v in one.flags.items()} == \
+                {k: bool(v[i]) for k, v in batch.flags.items()}
+
+
 def bm_graph_oracle(u1, u2):
     """Independent round32-after-every-core evaluation of the BM graph."""
     l = F(math.log(float(u1))) if float(u1) > 0 else F("nan")

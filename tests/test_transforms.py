@@ -224,8 +224,10 @@ class TestStream:
     def test_source_arity_checked(self):
         with pytest.raises(ValueError):
             stream("box-muller", make_sources(1, 3), 10)
-        with pytest.raises(LengthMismatchError):
-            stream("clt", make_sources(1, 5), 10, clt=CltConfig(k=12))
+        for mode in ("reference", "pipeline"):
+            with pytest.raises(LengthMismatchError):
+                stream("clt", make_sources(1, 5), 10, mode=mode,
+                       clt=CltConfig(k=12))
 
     def test_moments_sane_at_medium_n(self):
         res = stream("box-muller", make_sources(21, 2), 200_000)

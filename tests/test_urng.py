@@ -162,6 +162,27 @@ class TestStepping:
             st.step()
             assert st.register != 0
 
+    def test_no_all_zero_window_exhaustive(self):
+        # every tap mask and nonzero seed of order <= 8, primitive or not:
+        # one full orbit plus n - 1 clocks covers every n-clock window of
+        # the periodic output stream, and none of them is all zeros.  All
+        # registers of one order clock together; the seed-1 row is checked
+        # against LfsrState.step bit for bit.
+        for order in range(2, 9):
+            mask = (1 << order) - 1
+            taps = [(1 << order) | (m << 1) | 1 for m in range(1 << (order - 1))]
+            f_low, state = np.meshgrid(np.array(taps) & mask,
+                                       np.arange(1, 1 << order))
+            registers = [LfsrState(LfsrConfig(order=order, taps=t, seed=1))
+                         for t in taps]
+            zeros = np.zeros_like(state)
+            for _ in range(mask + order - 1):
+                msb = state >> (order - 1)
+                state = ((state << 1) & mask) ^ (msb * f_low)
+                assert [r.step() for r in registers] == list(msb[0])
+                zeros = np.where(msb == 1, 0, zeros + 1)
+                assert zeros.max() < order
+
     def test_step_matches_bit_oracle_order_32(self):
         cfg = primitive_config(32, seed=1)
         st = new_lfsr(cfg)
@@ -254,26 +275,6 @@ class TestUniformSemantics:
         u = st.next_uniform()
         assert u.source_word == 1
         assert u.value == 2.0 ** -32
-
-    def test_scalar_resample_skips_zero_words(self, monkeypatch):
-        st = new_lfsr(primitive_config(8, seed=1))
-        feed = iter([0, 0, 0x2A])
-        monkeypatch.setattr(LfsrState, "next_word", lambda self: next(feed))
-        u = st.next_uniform()
-        assert u.source_word == 0x2A
-        assert u.value == 0x2A / 256
-
-    def test_bulk_resample_skips_zero_words(self, monkeypatch):
-        st = new_lfsr(primitive_config(8, seed=1))
-        feed = iter([
-            np.array([7, 0, 9], dtype=np.uint64),
-            np.array([0], dtype=np.uint64),
-            np.array([11], dtype=np.uint64),
-        ])
-        monkeypatch.setattr(LfsrState, "words",
-                            lambda self, count, lanes=1024: next(feed))
-        vals = st.uniforms(3)
-        assert list(vals) == [7 / 256, 9 / 256, 11 / 256]
 
 
 class TestPrimitivity:
