@@ -249,7 +249,7 @@ class StreamResult:
     core_counts: Optional[dict] = None
 
 
-def evaluate(ev, algo, sources, count, clt=CltConfig()):
+def evaluate(ev, algo, sources, count, clt):
     """Run `algo`'s architecture over `sources` under evaluator `ev`.
 
     The batch driver of both modes; see `stream` for the contract.
