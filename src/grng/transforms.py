@@ -19,7 +19,7 @@ tests compare against them.  The batch datapath of each algorithm is
 written once, in `ARCHITECTURES`, as a function of an evaluator that
 supplies log, sin, cos, sqrt, mul, add and div: `Float64` here (reference
 mode), and the binary32 and traced binary32 evaluators of `fp_pipeline`.
-`stream` is the batch driver for both modes; it owns its uniform sources.
+`evaluate` is the one batch driver of both modes, and `stream` its entry.
 """
 
 from __future__ import annotations
