@@ -87,6 +87,25 @@ class TestNormalPpf:
         with pytest.raises(ValueError):
             normal_ppf(1.0)
 
+    @pytest.mark.parametrize("p, want", [
+        (1 / 8, "-0x1.267d4c07b0566p+0"),
+        (2 / 8, "-0x1.5956b87528a49p-1"),
+        (3 / 8, "-0x1.464965bdc7eafp-2"),
+        (4 / 8, "0x0.0p+0"),
+        (5 / 8, "0x1.464965bdc7eafp-2"),
+        (6 / 8, "0x1.5956b87528a49p-1"),
+        (7 / 8, "0x1.267d4c07b0566p+0"),
+        (1e-300, "-0x1.286074064c26ep+5"),
+        (1e-12, "-0x1.c234fba57a32ap+2"),
+        (0.02, "-0x1.06e13e8aadfdbp+1"),
+        (0.93, "0x1.79cd70d9c27f3p+0"),
+        (1 - 1e-12, "0x1.c2350895b2ea4p+2"),
+    ])
+    def test_bits_pinned(self, p, want):
+        # the chi-square cut points i/8 and one p in each AS241 branch:
+        # the chi-square statistic depends on these exact bits
+        assert normal_ppf(p).hex() == want
+
 
 class TestChi2Sf:
     def test_against_oracle(self):
@@ -201,7 +220,7 @@ def ad_oracle(samples):
     total = mpf(0)
     for i in range(1, n + 1):
         total += (2 * i - 1) * (mlog(mp_phi(ys[i - 1]))
-                                + mlog(1 - mp_phi(ys[n - i])))
+                                + mlog(mp_phi(-ys[n - i])))
     return float(-n - total / n)
 
 
@@ -267,6 +286,14 @@ class TestAndersonDarling:
         rep = anderson_darling(_fixtures.AD_FIXTURE)
         assert rep.statistic == pytest.approx(ad_oracle(_fixtures.AD_FIXTURE),
                                               rel=1e-9)
+
+    @pytest.mark.parametrize("outliers", [(37.0,), (-40.0, 50.0),
+                                          (-200.0, 1000.0)])
+    def test_far_tail_matches_extended_precision_oracle(self, outliers):
+        # |y| > 36 takes the asymptotic tail series
+        xs = [normal_ppf(u) for u in fixed_uniforms(200, 59)] + list(outliers)
+        rep = anderson_darling(xs)
+        assert rep.statistic == pytest.approx(ad_oracle(xs), rel=1e-9)
 
     def test_insufficient_sample(self):
         with pytest.raises(InsufficientSampleError):
