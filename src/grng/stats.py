@@ -18,16 +18,20 @@ matters, and all operations here are pure functions over immutable
 buffers.  p-values are always numeric; values that underflow double
 precision render as "< 1e-300" in reports.
 
-The normal CDF, its inverse (Wichura's AS241), the regularized incomplete
-gamma tail and the Kolmogorov series are implemented here so the library
-needs nothing beyond numpy; the test suite cross-checks them against
-extended-precision oracles.
+The normal quantile is the standard library's `statistics.NormalDist`
+(Wichura's AS241).  AD and KS share one erfc pass per sample, which yields
+the smaller tail Phi(-|y|) and its logarithm, so each side of the normal
+distribution is computed in one place.  The regularized incomplete gamma tail and the
+Kolmogorov series are implemented here so the library needs nothing beyond
+numpy and the standard library; the test suite cross-checks all of them
+against extended-precision oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -66,6 +70,7 @@ class NonFiniteSampleError(ValueError):
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_STANDARD_NORMAL = NormalDist()
 
 
 def normal_cdf(x):
@@ -73,79 +78,33 @@ def normal_cdf(x):
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-_erfc_vec = np.frompyfunc(math.erfc, 1, 1)
+def _normal_tail(ys):
+    """Smaller tail t = Phi(-|y|) of each y, and log t: one erfc per element.
 
-
-def _normal_cdf_vec(x):
-    return 0.5 * _erfc_vec(-np.asarray(x, dtype=np.float64) / _SQRT2).astype(np.float64)
-
-
-def _log_normal_cdf(x):
-    """log Phi(x), stable across the whole real line."""
-    if x > 8.0:
-        return math.log1p(-0.5 * math.erfc(x / _SQRT2))
-    if x > -36.0:
-        return math.log(0.5 * math.erfc(-x / _SQRT2))
-    # asymptotic tail: Phi(x) ~ phi(x)/(-x) * (1 - 1/x^2 + 3/x^4 - 15/x^6)
-    z = x * x
-    series = 1.0 - 1.0 / z + 3.0 / (z * z) - 15.0 / (z * z * z)
-    return -0.5 * z - _LOG_SQRT_2PI - math.log(-x) + math.log(series)
-
-
-_log_normal_cdf_vec = np.frompyfunc(_log_normal_cdf, 1, 1)
-
-
-# AS241 (Wichura, PPND16): inverse of the standard normal CDF.
-_PPF_A = (3.3871328727963666080e0, 1.3314166789178437745e2,
-          1.9715909503065514427e3, 1.3731693765509461125e4,
-          4.5921953931549871457e4, 6.7265770927008700853e4,
-          3.3430575583588128105e4, 2.5090809287301226727e3)
-_PPF_B = (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
-          5.3941960214247511077e3, 2.1213794301586595867e4,
-          3.9307895800092710610e4, 2.8729085735721942674e4,
-          5.2264952788528545610e3)
-_PPF_C = (1.42343711074968357734e0, 4.63033784615654529590e0,
-          5.76949722146069140550e0, 3.64784832476320460504e0,
-          1.27045825245236838258e0, 2.41780725177450611770e-1,
-          2.27238449892691845833e-2, 7.74545014278341407640e-4)
-_PPF_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
-          6.89767334985100004550e-1, 1.48103976427480074590e-1,
-          1.51986665636164571966e-2, 5.47593808499534494600e-4,
-          1.05075007164441684324e-9)
-_PPF_E = (6.65790464350110377720e0, 5.46378491116411436990e0,
-          1.78482653991729133580e0, 2.96560571828504891230e-1,
-          2.65321895265761230930e-2, 1.24266094738807843860e-3,
-          2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_PPF_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-          1.48753612908506148525e-2, 7.86869131145613259100e-4,
-          1.84631831751005468180e-5, 1.42151175831644588870e-7,
-          2.04426310338993978564e-15)
-
-
-def _poly(coeffs, r):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * r + c
-    return acc
+    From |y| = 36 on, where t nears underflow, log t comes from the
+    asymptotic series Phi(-a) ~ phi(a)/a * (1 - 1/a^2 + 3/a^4 - 15/a^6).
+    """
+    a = np.abs(ys)
+    far = a >= 36.0
+    a_far = a[far]
+    a /= _SQRT2
+    # a memoryview yields Python floats without a list or object array
+    t = np.fromiter(map(math.erfc, memoryview(a)), np.float64, count=a.size)
+    t *= 0.5
+    with np.errstate(divide="ignore"):
+        log_t = np.log(t, out=a)
+    if a_far.size:
+        z = a_far * a_far
+        series = 1.0 - 1.0 / z + 3.0 / (z * z) - 15.0 / (z * z * z)
+        log_t[far] = -0.5 * z - _LOG_SQRT_2PI - np.log(a_far) + np.log(series)
+    return t, log_t
 
 
 def normal_ppf(p):
-    """Inverse standard normal CDF (quantile function), AS241 accuracy."""
+    """Inverse standard normal CDF (quantile function), Wichura's AS241."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_PPF_A, r) / _poly(_PPF_B, r)
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        x = _poly(_PPF_C, r) / _poly(_PPF_D, r)
-    else:
-        r -= 5.0
-        x = _poly(_PPF_E, r) / _poly(_PPF_F, r)
-    return -x if q < 0 else x
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def _gamma_series_p(a, x):
@@ -340,10 +299,16 @@ def anderson_darling(samples, alpha=0.05):
     if n < 8:
         raise InsufficientSampleError(f"Anderson-Darling needs >= 8 samples, got {n}")
     ys = np.sort(xs)
-    log_cdf = _log_normal_cdf_vec(ys).astype(np.float64)
-    log_sf = _log_normal_cdf_vec(-ys[::-1]).astype(np.float64)
-    weights = 2.0 * np.arange(1, n + 1, dtype=np.float64) - 1.0
-    a2 = -n - float(np.sum(weights * (log_cdf + log_sf))) / n
+    # log Phi(y) is log(1 - t) above the median and log t below it, and
+    # log Phi(-y) the other way round; in-place steps keep the peak low
+    t, log_t = _normal_tail(ys)
+    upper = ys > 0.0
+    log_sf = np.log1p(np.negative(t, out=t), out=t)
+    log_cdf = np.where(upper, log_sf, log_t)
+    np.copyto(log_sf, log_t, where=upper)
+    log_cdf += log_sf[::-1]
+    log_cdf *= 2.0 * np.arange(1, n + 1, dtype=np.float64) - 1.0
+    a2 = -n - float(np.sum(log_cdf)) / n
     p = anderson_darling_sf(a2)
     return TestReport("ad", a2, p, rejected=p < alpha, alpha=alpha)
 
@@ -359,7 +324,8 @@ def kolmogorov_smirnov(samples, alpha=0.05):
     if n < 1:
         raise InsufficientSampleError("Kolmogorov-Smirnov needs >= 1 sample")
     ys = np.sort(xs)
-    cdf = _normal_cdf_vec(ys)
+    cdf = _normal_tail(ys)[0]
+    np.subtract(1.0, cdf, out=cdf, where=ys > 0.0)
     i = np.arange(1, n + 1, dtype=np.float64)
     d_plus = float(np.max(i / n - cdf))
     d_minus = float(np.max(cdf - (i - 1.0) / n))
