@@ -394,21 +394,18 @@ class LfsrState:
         self.steps_taken += count * n
         return out
 
-    def words(self, count, lanes=1024):
+    def words(self, count):
         """Vectorized equivalent of `count` next_word() calls."""
         if count < 0:
             raise ValueError("count must be >= 0")
         if count == 0:
             return np.empty(0, dtype=np.uint64)
-        if count < 4 * lanes:
-            return np.array([self.next_word() for _ in range(count)],
-                            dtype=np.uint64)
-        return self._word_block_raw(count, lanes)
+        return self._word_block_raw(count, min(count, 1024))
 
-    def uniforms(self, count, lanes=1024):
+    def uniforms(self, count):
         """Vectorized equivalent of `count` next_uniform() values."""
         n = self.config.order
-        vals = self.words(count, lanes=lanes).astype(np.float64)
+        vals = self.words(count).astype(np.float64)
         vals *= 2.0 ** -n
         if n > 53:
             np.minimum(vals, np.nextafter(1.0, 0.0), out=vals)

@@ -1,10 +1,10 @@
 """Golden output gate: fixed-seed SHA-256 of `grng gen` output.
 
 Pins the bytes of every algorithm x mode x format (sample file and its
-.meta.json sidecar) at N = 10^4, seed 1.  At this size the LFSR runs both
-its lane-parallel `words` path and, for the small polar top-up blocks, the
-scalar `next_word` fallback.  A change to any of these hashes is a change
-of output bytes and must be called out as such.
+.meta.json sidecar) at N = 10^4, seed 1.  At this size the LFSR's
+lane-parallel `words` runs both with full lanes and, for the small polar
+top-up blocks, with one word per lane.  A change to any of these hashes is
+a change of output bytes and must be called out as such.
 """
 
 import contextlib

@@ -227,7 +227,7 @@ class TestBulk:
     def test_bulk_words_equal_scalar(self):
         cfg = primitive_config(32, seed=0xC0FFEE)
         a, b = new_lfsr(cfg), new_lfsr(cfg)
-        bulk = a.words(5000, lanes=64)
+        bulk = a.words(5000)
         scalar = np.array([b.next_word() for _ in range(5000)], dtype=np.uint64)
         assert np.array_equal(bulk, scalar)
         assert a.register == b.register
@@ -236,9 +236,9 @@ class TestBulk:
     def test_bulk_resumes_exactly(self):
         cfg = primitive_config(32, seed=5)
         a, b = new_lfsr(cfg), new_lfsr(cfg)
-        a.words(1000, lanes=16)
-        b.words(600, lanes=64)
-        b.words(400, lanes=8)
+        a.words(1000)
+        b.words(600)
+        b.words(400)
         assert a.register == b.register
         assert a.next_word() == b.next_word()
 
