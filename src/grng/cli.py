@@ -50,7 +50,12 @@ def _seed_default():
     import os
 
     env = os.environ.get("GRNG_SEED")
-    return int(env, 0) if env else 1
+    if not env:
+        return 1
+    try:
+        return int(env, 0)
+    except ValueError:
+        raise _UsageError(f"GRNG_SEED must be an integer, got {env!r}") from None
 
 
 def _add_gen_args(p, *, need_out):
@@ -109,6 +114,8 @@ def _build_parser():
 def _lfsr_config_args(args):
     taps = urng.parse_polynomial(args.poly) if args.poly else urng.DEFAULT_POLYNOMIAL
     order = taps.bit_length() - 1
+    # reject a bad polynomial before any seed is derived for it
+    urng.LfsrConfig(order=order, taps=taps, seed=1)
     return taps, order
 
 
@@ -129,7 +136,11 @@ def _generate(args, count):
     taps, order = _lfsr_config_args(args)
     clt = transforms.CltConfig(k=args.k)
     streams_per_shard = clt.k if args.algo == "clt" else 2
-    lfsr_seeds = urng.derive_seeds(seed, args.shards * streams_per_shard, order)
+    try:
+        lfsr_seeds = urng.derive_seeds(seed, args.shards * streams_per_shard,
+                                       order)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
 
     pieces = []
     consumed = 0

@@ -144,17 +144,18 @@ def parse_polynomial(poly):
     s = poly.strip().lower().replace(" ", "")
     if not s:
         raise BadPolynomialError("empty polynomial")
-    if s.startswith("0x"):
-        return int(s, 16)
-    if "x" not in s:
-        return int(s, 0)
+    if s.startswith("0x") or "x" not in s:
+        try:
+            return int(s, 0)
+        except ValueError:
+            raise BadPolynomialError(f"cannot parse tap mask {s!r}") from None
     taps = 0
     for term in s.split("+"):
         if term in ("1", "x^0"):
             taps |= 1
         elif term == "x":
             taps |= 2
-        elif term.startswith("x^"):
+        elif term.startswith("x^") and term[2:].isdecimal():
             taps |= 1 << int(term[2:])
         else:
             raise BadPolynomialError(f"cannot parse polynomial term {term!r}")
@@ -187,7 +188,7 @@ class LfsrConfig:
     def __post_init__(self):
         if not 2 <= self.order <= 64:
             raise BadPolynomialError(f"order must be in [2, 64], got {self.order}")
-        if self.taps.bit_length() - 1 != self.order:
+        if self.taps < 0 or self.taps.bit_length() - 1 != self.order:
             raise BadPolynomialError(
                 f"tap mask {self.taps:#x} is not degree {self.order}"
             )
@@ -455,8 +456,12 @@ def derive_seeds(master_seed, count, order):
 
     Successive splitmix64 outputs are truncated to `order` bits; zero maps
     to 1 and collisions are skipped, so the derived streams never coincide.
+    Raises ValueError when `count` exceeds the 2**order - 1 nonzero seeds.
     """
     mask = (1 << order) - 1
+    if count > mask:
+        raise ValueError(f"{count} distinct seeds requested, but only {mask} "
+                         f"nonzero {order}-bit seeds exist")
     state = master_seed & _U64
     seeds = []
     seen = set()

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grng
 from grng import sampleio, stats, transforms, urng
 from grng.cli import main
 from grng.sampleio import ParseError, read_samples, read_sidecar, write_samples
@@ -11,6 +16,18 @@ from grng.sampleio import ParseError, read_samples, read_sidecar, write_samples
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_child(*argv, env=None):
+    """Run the CLI in a child process, so that a hang fails by timeout."""
+    src = str(Path(grng.__file__).resolve().parents[1])
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "grng.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def assert_one_line_error(stderr):
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
 
 
 class TestSampleIo:
@@ -189,6 +206,31 @@ class TestGen:
         assert run("gen", "--n", "10", "--k", "1", "--out", out) == 1
         assert run("gen", "--n", "10", "--shards", "0", "--out", out) == 1
         assert run("gen", "--algo", "ziggurat", "--n", "10", "--out", out) == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        # 8 shards need 16 seeds; an order-4 register has only 15
+        (("--poly", "x^4+x^3+1", "--shards", "8"), 1),
+        (("--poly", "1"), 2),
+        (("--poly", "x"), 2),
+        (("--poly=-7",), 2),
+    ])
+    def test_seed_space_edges_exit_without_hanging(self, tmp_path, argv, code):
+        proc = run_child("gen", *argv, "--n", "10", "--out",
+                         str(tmp_path / "x.bin"))
+        assert proc.returncode == code
+        assert_one_line_error(proc.stderr)
+
+    @pytest.mark.parametrize("poly", ["zz", "0xzz", "x^a+1", "x^+1"])
+    def test_malformed_polynomial_is_data_error(self, tmp_path, capsys, poly):
+        assert run("gen", "--poly", poly, "--n", "10",
+                   "--out", str(tmp_path / "x.bin")) == 2
+        assert_one_line_error(capsys.readouterr().err)
+
+    def test_malformed_env_seed_is_usage_error(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setenv("GRNG_SEED", "abc")
+        assert run("gen", "--n", "10", "--out", str(tmp_path / "x.bin")) == 1
+        assert_one_line_error(capsys.readouterr().err)
 
 
 class TestTestCommand:

@@ -92,6 +92,10 @@ class TestConfig:
         with pytest.raises(BadPolynomialError):
             LfsrConfig(order=8, taps=parse_polynomial("x^4+x+1"), seed=1)
 
+    def test_negative_tap_mask_rejected(self):
+        with pytest.raises(BadPolynomialError):
+            LfsrConfig(order=2, taps=-7, seed=1)
+
     def test_constant_term_required(self):
         with pytest.raises(BadPolynomialError):
             LfsrConfig(order=4, taps=0b11010, seed=1)  # x^4+x^3+x
@@ -134,6 +138,11 @@ class TestPolynomialStrings:
             parse_polynomial("x^4+y+1")
         with pytest.raises(BadPolynomialError):
             parse_polynomial("")
+
+    @pytest.mark.parametrize("poly", ["zz", "0xzz", "x^a+1", "x^+1", "x^-2+1"])
+    def test_reject_malformed_numbers(self, poly):
+        with pytest.raises(BadPolynomialError):
+            parse_polynomial(poly)
 
 
 class TestStepping:
@@ -404,6 +413,11 @@ class TestSeeding:
     def test_derive_seeds_depend_on_master(self):
         assert derive_seeds(1, 4, 32) != derive_seeds(2, 4, 32)
         assert derive_seeds(7, 4, 32) == derive_seeds(7, 4, 32)
+
+    def test_derive_seeds_exhaust_the_seed_space(self):
+        assert sorted(derive_seeds(3, 15, 4)) == list(range(1, 16))
+        with pytest.raises(ValueError):
+            derive_seeds(3, 16, 4)
 
     def test_derive_seeds_small_order(self):
         seeds = derive_seeds(9, 10, 4)
