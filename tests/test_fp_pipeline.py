@@ -258,6 +258,37 @@ class TestFlagPredicates:
                                      and not self.is_zero(a)
                                      and not self.is_zero(b))
 
+    # +-inf, NaN, +-max finite, 2, +-0 and the smallest denormal: random
+    # 32-bit patterns practically never give an infinite operand
+    ARITH_SPECIALS = [0x7F800000, 0xFF800000, 0x7FC00000, 0x7F7FFFFF,
+                      0xFF7FFFFF, 0x40000000, 0x00000000, 0x80000000, 0x1]
+
+    def arith_operands(self, master):
+        pats = self.random_patterns(40_000, master)
+        edge = [from_bits(b) for b in self.ARITH_SPECIALS] + pats[:4]
+        return list(zip(pats[0::2], pats[1::2])) + [(a, b) for a in edge
+                                                     for b in edge]
+
+    def check_arith_flags(self, core, master):
+        overflowed = 0
+        for a, b in self.arith_operands(master):
+            res = core(a, b)
+            r = res.result
+            finite = not (self.is_nan(a) or self.is_inf(a)
+                          or self.is_nan(b) or self.is_inf(b))
+            assert res.nan == self.is_nan(r)
+            assert res.zero == self.is_zero(r)
+            assert res.overflow == (self.is_inf(r) and finite)
+            assert res.underflow == self.is_denormal(r)
+            overflowed += res.overflow
+        assert overflowed
+
+    def test_mul_flags(self):
+        self.check_arith_flags(core_mul, 44)
+
+    def test_add_flags(self):
+        self.check_arith_flags(core_add, 55)
+
     def test_sqrt_flags(self):
         for x in self.random_patterns(20_000, 33):
             res = core_sqrt(x)
