@@ -69,9 +69,6 @@ __all__ = [
     "core_sincos",
     "core_sqrt",
     "expected_core_counts",
-    "f32",
-    "f32_from_bits",
-    "f32_to_bits",
     "pipeline_stream",
     "run_graph",
     "uniform_to_f32",
@@ -84,21 +81,6 @@ _quiet = functools.partial(np.errstate, all="ignore")
 
 class ArityMismatchError(ValueError):
     """Input count does not match the architecture graph."""
-
-
-def f32(x):
-    """Round any real to binary32 (nearest even)."""
-    return np.float32(x)
-
-
-def f32_to_bits(x):
-    """Bit pattern of a binary32 value as an int."""
-    return int(np.float32(x).view(np.uint32))
-
-
-def f32_from_bits(bits):
-    """Binary32 value for a 32-bit pattern."""
-    return np.uint32(bits).view(np.float32)
 
 
 _BIG_ENDIAN = slice(None, None, -1 if np.little_endian else 1)
