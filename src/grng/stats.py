@@ -21,10 +21,10 @@ precision render as "< 1e-300" in reports.
 The normal quantile is the standard library's `statistics.NormalDist`
 (Wichura's AS241).  AD and KS share one erfc pass per sample, which yields
 the smaller tail Phi(-|y|) and its logarithm, so each side of the normal
-distribution is computed in one place.  The regularized incomplete gamma tail and the
-Kolmogorov series are implemented here so the library needs nothing beyond
-numpy and the standard library; the test suite cross-checks all of them
-against extended-precision oracles.
+distribution is computed in one place.  The regularized incomplete gamma
+tail and the Kolmogorov series are implemented here so the library needs
+nothing beyond numpy and the standard library; the test suite cross-checks
+all of them against extended-precision oracles.
 """
 
 from __future__ import annotations
@@ -300,7 +300,8 @@ def anderson_darling(samples, alpha=0.05):
         raise InsufficientSampleError(f"Anderson-Darling needs >= 8 samples, got {n}")
     ys = np.sort(xs)
     # log Phi(y) is log(1 - t) above the median and log t below it, and
-    # log Phi(-y) the other way round; in-place steps keep the peak low
+    # log Phi(-y) the other way round.  log_sf starts as log(1 - t) in t's
+    # buffer; the in-place steps keep the peak memory low
     t, log_t = _normal_tail(ys)
     upper = ys > 0.0
     log_sf = np.log1p(np.negative(t, out=t), out=t)
@@ -324,7 +325,7 @@ def kolmogorov_smirnov(samples, alpha=0.05):
     if n < 1:
         raise InsufficientSampleError("Kolmogorov-Smirnov needs >= 1 sample")
     ys = np.sort(xs)
-    cdf = _normal_tail(ys)[0]
+    cdf = _normal_tail(ys)[0]  # Phi(y) = t below the median, 1 - t above
     np.subtract(1.0, cdf, out=cdf, where=ys > 0.0)
     i = np.arange(1, n + 1, dtype=np.float64)
     d_plus = float(np.max(i / n - cdf))

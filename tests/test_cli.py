@@ -18,10 +18,10 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_child(*argv, env=None):
+def run_child(*argv):
     """Run the CLI in a child process, so that a hang fails by timeout."""
     src = str(Path(grng.__file__).resolve().parents[1])
-    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-m", "grng.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
 
