@@ -136,9 +136,10 @@ def _generate(args, count):
     taps, order = _lfsr_config_args(args)
     clt = transforms.CltConfig(k=args.k)
     streams_per_shard = clt.k if args.algo == "clt" else 2
+    # shards beyond the n-th would be empty: seeds go only to those that run
+    shards = min(args.shards, count)
     try:
-        lfsr_seeds = urng.derive_seeds(seed, args.shards * streams_per_shard,
-                                       order)
+        lfsr_seeds = urng.derive_seeds(seed, shards * streams_per_shard, order)
     except ValueError as exc:
         raise _UsageError(exc) from None
 
@@ -146,9 +147,7 @@ def _generate(args, count):
     consumed = 0
     proposed = accepted = 0
     core_counts = {}
-    for shard, size in enumerate(_shard_sizes(count, args.shards)):
-        if size == 0:
-            continue
+    for shard, size in enumerate(_shard_sizes(count, shards)):
         lo = shard * streams_per_shard
         sources = [
             urng.new_lfsr(urng.LfsrConfig(order=order, taps=taps, seed=s))

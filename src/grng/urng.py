@@ -16,10 +16,22 @@ zero output bits in a row mean n clocks without feedback, which only the
 all-zero register gives, and the step is a bijection that fixes 0 (the
 polynomial has a constant term), so a nonzero seed never reaches it.  A
 packed word is therefore never 0.
+
+Bulk words use the state-transition-matrix "leap-forward" step of Thomas &
+Luk (FPL 2006, FPL 2010).  Over GF(2) the next word W(s) and the register
+n clocks later S(s) are both linear in the register s, so each is the XOR
+of ceil(n/8) lookups in 256-entry tables indexed by the bytes of s.  The
+tables are built from the scalar `LfsrState.next_word` on the n basis
+registers, once per (order, taps), and cached read-only beside the
+primitivity verdict.  `LfsrState.words` cuts the stream into up to 4096
+contiguous segments (lanes), finds each lane's start by doubling with a
+byte-table multiply by x^(lane length * n * 2^k) mod f, and advances all
+lanes one table step per word.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -262,19 +274,24 @@ def verify_primitive(config):
     Checks that x has multiplicative order exactly 2**n - 1 modulo the
     polynomial: x^(2^n - 1) == 1 and x^((2^n - 1)/p) != 1 for every prime
     p dividing 2**n - 1.  Order 2**n - 1 forces irreducibility, so no
-    separate irreducibility test is needed.
+    separate irreducibility test is needed.  The verdict is cached per
+    (order, taps).
     """
-    n = config.order
+    return _is_primitive(config.order, config.taps)
+
+
+@functools.lru_cache(maxsize=64)
+def _is_primitive(n, taps):
     factors = _MERSENNE_FACTORS.get(n)
     if factors is None:
         raise FactorizationUnavailableError(
             f"no factorization of 2^{n} - 1 on record"
         )
     period = (1 << n) - 1
-    if _gf2_pow_x(period, config.taps, n) != 1:
+    if _gf2_pow_x(period, taps, n) != 1:
         return False
     for p in factors:
-        if _gf2_pow_x(period // p, config.taps, n) == 1:
+        if _gf2_pow_x(period // p, taps, n) == 1:
             return False
     return True
 
@@ -361,47 +378,47 @@ class LfsrState:
             self.config.order,
         )
 
-    def _word_block_raw(self, count, lanes):
-        """`count` consecutive words via jump-ahead split into parallel lanes.
+    def _lane_starts(self, lanes, per_lane):
+        """Registers at words 0, per_lane, 2 * per_lane, ... of the stream.
 
-        The stream is cut into `lanes` contiguous segments; each lane starts
-        from the jumped-ahead register for its segment and all lanes advance
-        together as one vectorized Galois step.  Output order is identical
-        to `count` sequential next_word() calls.
+        Doubling: the starts found so far, times c = x^(per_lane * n * 2^k)
+        mod f, are the next as many; the table of c^2 is that of c applied
+        to its own entries.
         """
-        n = self.config.order
-        per_lane = -(-count // lanes)
-        jump_poly = _gf2_pow_x(per_lane * n, self.config.taps, n)
-        starts = np.empty(lanes, dtype=np.uint64)
-        s = self.register
-        for j in range(lanes):
-            starts[j] = s
-            s = _gf2_mulmod(s, jump_poly, self.config.taps, n)
-        state = starts
-        mask = np.uint64((1 << n) - 1) if n < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-        f_low = np.uint64(self._f_low)
-        shift = np.uint64(n - 1)
-        one = np.uint64(1)
-        words = np.empty((per_lane, lanes), dtype=np.uint64)
-        for m in range(per_lane):
-            w = np.zeros(lanes, dtype=np.uint64)
-            for _ in range(n):
-                msb = (state >> shift) & one
-                state = ((state << one) & mask) ^ (msb * f_low)
-                w = (w << one) | msb
-            words[m] = w
-        out = words.T.reshape(-1)[:count]
-        self.register = self._jump(count * n)
-        self.steps_taken += count * n
-        return out
+        n, taps = self.config.order, self.config.taps
+        starts = np.array([self.register], dtype=np.uint64)
+        if lanes > 1:
+            jump = _mul_tables(n, taps, _gf2_pow_x(per_lane * n, taps, n))
+            while starts.size < lanes:
+                more = _lookup(jump, starts[:lanes - starts.size])
+                starts = np.concatenate([starts, more])
+                jump = _lookup(jump, jump)
+        return starts
 
     def words(self, count):
-        """Vectorized equivalent of `count` next_word() calls."""
+        """Vectorized equivalent of `count` next_word() calls.
+
+        The stream is cut into at most 4096 contiguous lanes of equal
+        length; all lanes advance together, one leap-forward table step
+        (the cached W and S tables of this tap mask) per word.
+        """
         if count < 0:
             raise ValueError("count must be >= 0")
         if count == 0:
             return np.empty(0, dtype=np.uint64)
-        return self._word_block_raw(count, min(count, 1024))
+        n = self.config.order
+        per_lane = -(-count // _LANES)
+        lanes = -(-count // per_lane)
+        state = self._lane_starts(lanes, per_lane)
+        step = _word_tables(n, self.config.taps)
+        words = np.empty((per_lane, lanes), dtype=np.uint64)
+        for m in range(per_lane):
+            nxt = _lookup(step, state)
+            words[m] = nxt[:, 0]
+            state = nxt[:, 1]
+        self.register = self._jump(count * n)
+        self.steps_taken += count * n
+        return words.T.reshape(-1)[:count]
 
     def uniforms(self, count):
         """Vectorized equivalent of `count` next_uniform() values."""
@@ -411,6 +428,64 @@ class LfsrState:
         if n > 53:
             np.minimum(vals, np.nextafter(1.0, 0.0), out=vals)
         return vals
+
+
+#: Lanes that `LfsrState.words` advances side by side.
+_LANES = 4096
+
+
+def _byte_tables(images):
+    """Byte lookup tables of a GF(2)-linear map on n-bit registers.
+
+    images[j] is the image of the register 1 << j (a uint64, or a row of
+    them for several maps at once).  The result T is a read-only uint64
+    array of shape (ceil(n/8), 256, ...) with T[b, v] the image of v << 8b,
+    so the map of s is the XOR over b of T[b, byte b of s].
+    """
+    images = np.asarray(images, dtype=np.uint64)
+    n, extra = len(images), images.shape[1:]
+    basis = np.zeros((-(-n // 8) * 8, *extra), dtype=np.uint64)
+    basis[:n] = images
+    basis = basis.reshape(-1, 1, 8, *extra)
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    bits = bits.reshape(1, 256, 8, *(1 for _ in extra))
+    tables = np.bitwise_xor.reduce(np.where(bits, basis, np.uint64(0)), axis=2)
+    tables.flags.writeable = False
+    return tables
+
+
+def _lookup(tables, regs):
+    """The map tabulated by `_byte_tables`, applied to an array of registers."""
+    octets = np.ascontiguousarray(regs, dtype="<u8").view(np.uint8)
+    octets = octets.reshape(*np.shape(regs), 8)
+    out = tables[0].take(octets[..., 0], axis=0)
+    for b in range(1, len(tables)):
+        out ^= tables[b].take(octets[..., b], axis=0)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _word_tables(order, taps):
+    """Leap-forward tables of one word, built once per tap mask.
+
+    [..., 0] tabulates the next word W(s) and [..., 1] the register n
+    clocks later S(s), both read off the scalar register on the basis.
+    """
+    images = []
+    for j in range(order):
+        st = LfsrState(LfsrConfig(order=order, taps=taps, seed=1 << j))
+        images.append((st.next_word(), st.register))
+    return _byte_tables(images)
+
+
+def _mul_tables(order, taps, c):
+    """Tables of s -> s * c mod f: the scalar orbit c, c*x, c*x^2, ..."""
+    st = LfsrState(LfsrConfig(order=order, taps=taps, seed=c))
+    images = []
+    for _ in range(order):
+        images.append(st.register)
+        st.step()
+    return _byte_tables(images)
 
 
 def new_lfsr(config):

@@ -135,6 +135,18 @@ class TestGen:
         want = transforms.stream("box-muller", srcs, 251)
         assert np.array_equal(values[:251], want.values)
 
+    def test_empty_shards_get_no_seeds(self, tmp_path):
+        # shards beyond the n-th hold no sample and get no LFSR seeds
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        assert run("gen", "--n", "3", "--seed", "5", "--shards", "5",
+                   "--out", str(a)) == 0
+        assert run("gen", "--n", "3", "--seed", "5", "--shards", "3",
+                   "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        meta = read_sidecar(a)
+        assert meta["shards"] == 5
+        assert meta["lfsr_seeds"] == urng.derive_seeds(5, 6, 32)
+
     @pytest.mark.parametrize("fmt", ["bin", "csv", "json"])
     def test_gen_round_trips_all_formats(self, tmp_path, fmt):
         out = tmp_path / f"r.{fmt}"

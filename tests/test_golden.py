@@ -2,9 +2,11 @@
 
 Pins the bytes of every algorithm x mode x format (sample file and its
 .meta.json sidecar) at N = 10^4, seed 1.  At this size the LFSR's
-lane-parallel `words` runs both with full lanes and, for the small polar
-top-up blocks, with one word per lane.  A change to any of these hashes is
-a change of output bytes and must be called out as such.
+lane-parallel `words` cuts each source's block into 2500-3334 lanes of 2
+or 3 words (5000 words for box-muller, 6251 for polar, 10000 for each clt
+summand), and the polar top-up blocks of 256 words into 256 lanes of one
+word.  A change to any of these hashes is a change of output bytes and
+must be called out as such.
 """
 
 import contextlib

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from grng import urng
 from grng.urng import (
@@ -21,6 +23,14 @@ from grng.urng import (
 )
 
 PAPER_TAPS = parse_polynomial("x^32+x^8+x^5+x^2+1")
+
+# one primitive polynomial per order: partial, exact and full-width bytes
+PRIMITIVE_BY_ORDER = {
+    2: "x^2+x+1", 7: "x^7+x+1", 8: "x^8+x^4+x^3+x^2+1", 9: "x^9+x^4+1",
+    16: "x^16+x^15+x^13+x^4+1", 31: "x^31+x^3+1", 32: "x^32+x^8+x^5+x^2+1",
+    33: "x^33+x^13+1", 63: "x^63+x+1", 64: "x^64+x^4+x^3+x+1",
+}
+LANES = urng._LANES
 
 
 class BitOracle:
@@ -251,6 +261,39 @@ class TestBulk:
         assert a.register == b.register
         assert a.next_word() == b.next_word()
 
+    @pytest.mark.parametrize("count", [1, 2, LANES - 1, LANES, LANES + 1,
+                                       3 * LANES + 5])
+    @pytest.mark.parametrize("order", sorted(PRIMITIVE_BY_ORDER))
+    def test_words_equal_next_word_calls(self, order, count):
+        cfg = LfsrConfig(order=order,
+                         taps=parse_polynomial(PRIMITIVE_BY_ORDER[order]),
+                         seed=0x9E3779B97F4A7C15 & ((1 << order) - 1))
+        assert verify_primitive(cfg)
+        a, b = LfsrState(cfg), LfsrState(cfg)
+        bulk = a.words(count)
+        scalar = [b.next_word() for _ in range(count)]
+        assert bulk.dtype == np.uint64
+        assert bulk.tolist() == scalar
+        assert a.register == b.register
+        assert a.steps_taken == b.steps_taken
+
+    @settings(deadline=None)
+    @given(data=st_.data())
+    def test_split_calls_equal_one_call(self, data):
+        order = data.draw(st_.integers(2, 64), label="order")
+        middle = data.draw(st_.integers(0, (1 << (order - 1)) - 1),
+                           label="middle taps")
+        seed = data.draw(st_.integers(1, (1 << order) - 1), label="seed")
+        first = data.draw(st_.integers(0, 2 * LANES + 3), label="a")
+        second = data.draw(st_.integers(0, 2 * LANES + 3), label="b")
+        cfg = LfsrConfig(order=order, taps=(1 << order) | (middle << 1) | 1,
+                         seed=seed)
+        split, whole = LfsrState(cfg), LfsrState(cfg)
+        parts = np.concatenate([split.words(first), split.words(second)])
+        assert np.array_equal(parts, whole.words(first + second))
+        assert split.register == whole.register
+        assert split.steps_taken == whole.steps_taken
+
     def test_uniforms_strictly_inside_unit_interval(self):
         st = new_lfsr(primitive_config(4, seed=1))
         vals = st.uniforms(15)
@@ -319,6 +362,13 @@ class TestPrimitivity:
             st = new_lfsr(cfg)
         u = st.next_uniform()
         assert 0 < u.value < 1
+
+    def test_non_primitive_taps_warn_on_every_call(self):
+        # the verdict is cached per tap mask, the warning is not
+        cfg = LfsrConfig(order=5, taps=parse_polynomial("x^5+x^4+x+1"), seed=3)
+        for _ in range(3):
+            with pytest.warns(NonMaximalTapsWarning):
+                new_lfsr(cfg)
 
     def test_primitive_taps_do_not_warn(self):
         with warnings.catch_warnings():
