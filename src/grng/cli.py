@@ -58,7 +58,7 @@ def _seed_default():
         raise _UsageError(f"GRNG_SEED must be an integer, got {env!r}") from None
 
 
-def _add_gen_args(p, *, need_out):
+def _add_gen_args(p):
     p.add_argument("--algo", choices=transforms.ALGORITHMS, default="box-muller")
     p.add_argument("--n", type=int, default=1000, help="number of samples")
     p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
@@ -69,8 +69,6 @@ def _add_gen_args(p, *, need_out):
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--poly", default=None,
                    help="LFSR polynomial, as x^a+x^b+...+1 or a hex tap mask")
-    p.add_argument("--format", choices=sampleio.FORMATS, default="bin")
-    p.add_argument("--out", required=need_out)
 
 
 def _build_parser():
@@ -79,7 +77,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a Gaussian sample file")
-    _add_gen_args(gen, need_out=True)
+    _add_gen_args(gen)
+    gen.add_argument("--format", choices=sampleio.FORMATS, default="bin")
+    gen.add_argument("--out", required=True)
 
     test = sub.add_parser("test", help="run normality tests on a sample file")
     test.add_argument("input")
@@ -98,13 +98,15 @@ def _build_parser():
     hist.add_argument("--out", default=None, help="CSV path (default stdout)")
 
     bench = sub.add_parser("bench", help="compare algorithm throughput")
-    _add_gen_args(bench, need_out=False)
+    _add_gen_args(bench)
     bench.add_argument("--all-algos", action="store_true",
                        help="bench every algorithm, not just --algo")
 
     quad = sub.add_parser("quadrature",
                           help="emit (q, p) Gaussian-modulation pairs")
-    _add_gen_args(quad, need_out=True)
+    _add_gen_args(quad)
+    quad.add_argument("--format", choices=("csv", "json"), default="csv")
+    quad.add_argument("--out", required=True)
     quad.add_argument("--variance", type=float, default=1.0,
                       help="modulation variance V")
 
@@ -305,7 +307,6 @@ _DATA_ERRORS = (
     qkdmod.SourceExhaustedError,
     urng.BadPolynomialError,
     urng.ZeroSeedError,
-    urng.FactorizationUnavailableError,
     OSError,
 )
 

@@ -101,17 +101,16 @@ def read_samples(path, fmt=None):
         if mode_code not in _MODE_NAMES:
             raise ParseError(f"unknown mode code {mode_code} in {path}")
         mode = _MODE_NAMES[mode_code]
-        values = np.frombuffer(data[16:], dtype=_dtype_for(mode))
-        if values.size != count:
-            raise ParseError(
-                f"{path}: header claims {count} values, payload has {values.size}"
-            )
-        return values.astype(np.float64), mode
+        dtype = _dtype_for(mode)
+        if len(data) - 16 != count * dtype.itemsize:
+            raise ParseError(f"{path}: header claims {count} values, payload "
+                             f"has {len(data) - 16} bytes")
+        return np.frombuffer(data, dtype, offset=16).astype(np.float64), mode
     if fmt == "json":
         try:
             doc = json.loads(data)
             values = np.asarray(doc["values"], dtype=np.float64)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"{path} is not a GRNG json sample file: {exc}") from exc
         return values, doc.get("mode")
     if fmt == "csv":

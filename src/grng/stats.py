@@ -21,15 +21,17 @@ precision render as "< 1e-300" in reports.
 The normal quantile is the standard library's `statistics.NormalDist`
 (Wichura's AS241).  AD and KS share one erfc pass per sample, which yields
 the smaller tail Phi(-|y|) and its logarithm, so each side of the normal
-distribution is computed in one place.  The regularized incomplete gamma
-tail and the Kolmogorov series are implemented here so the library needs
-nothing beyond numpy and the standard library; the test suite cross-checks
-all of them against extended-precision oracles.
+distribution is computed in one place.  The chi-square tail is the finite
+sum that integer degrees of freedom allow (no incomplete-gamma series or
+continued fraction), and the Kolmogorov series is summed directly, so the
+library needs nothing beyond numpy and the standard library; the test suite
+cross-checks both against extended-precision oracles.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple, Optional, Tuple
@@ -107,56 +109,24 @@ def normal_ppf(p):
     return _STANDARD_NORMAL.inv_cdf(p)
 
 
-def _gamma_series_p(a, x):
-    ap = a
-    total = delta = 1.0 / a
-    for _ in range(1000):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+def chi2_sf(x, df):
+    """Upper tail of the chi-square distribution with df degrees of freedom.
 
-
-def _gamma_cf_q(a, x):
-    # modified Lentz continued fraction for the upper tail
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q(a, x):
-    """Regularized upper incomplete gamma Q(a, x)."""
-    if x < 0.0 or a <= 0.0:
-        raise ValueError("need x >= 0 and a > 0")
+    Integer df gives a finite sum (Abramowitz & Stegun 26.4.4-26.4.5): with
+    y = x/2 and h = 1/2 for odd df, 0 for even, erfc(sqrt(y)) (odd df only)
+    plus y^(j+h) e^-y / Gamma(j+h+1) over j < df//2, each term in logs.
+    """
+    if not isinstance(df, numbers.Integral) or df < 1 or x < 0.0:
+        raise ValueError(f"need a positive integer df and x >= 0, got "
+                         f"df={df!r}, x={x!r}")
     if x == 0.0:
         return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series_p(a, x)
-    return _gamma_cf_q(a, x)
-
-
-def chi2_sf(x, df):
-    """Upper tail of the chi-square distribution with df degrees of freedom."""
-    return _gamma_q(df / 2.0, x / 2.0)
+    y = x / 2.0
+    h = 0.5 if df % 2 else 0.0
+    log_y = math.log(y)
+    terms = (math.exp((j + h) * log_y - y - math.lgamma(j + h + 1.0))
+             for j in range(df // 2))
+    return math.fsum(terms) + (math.erfc(math.sqrt(y)) if h else 0.0)
 
 
 def kolmogorov_sf(lam):
@@ -244,11 +214,9 @@ class Histogram:
         return "\n".join(lines) + "\n"
 
 
-def _as_sample(samples, *, require_finite=True):
-    xs = np.asarray(samples, dtype=np.float64)
-    if xs.ndim != 1:
-        xs = xs.reshape(-1)
-    if require_finite and xs.size and not np.isfinite(xs).all():
+def _as_sample(samples):
+    xs = np.asarray(samples, dtype=np.float64).reshape(-1)
+    if xs.size and not np.isfinite(xs).all():
         raise NonFiniteSampleError("sample contains non-finite values")
     return xs
 
@@ -258,8 +226,9 @@ def build_histogram(samples, bins, range=None):
 
     Default range is [min, max] of the sample.  With an explicit range,
     samples outside it are dropped (total counts only binned samples).
+    NaN or infinity raises NonFiniteSampleError, as in every test.
     """
-    xs = _as_sample(samples, require_finite=False)
+    xs = _as_sample(samples)
     if xs.size == 0:
         raise EmptySampleError("cannot histogram an empty sample")
     if bins < 1:

@@ -39,7 +39,6 @@ import numpy as np
 
 __all__ = [
     "BadPolynomialError",
-    "FactorizationUnavailableError",
     "LfsrConfig",
     "LfsrState",
     "NonMaximalTapsWarning",
@@ -61,10 +60,6 @@ class ZeroSeedError(ValueError):
 
 class BadPolynomialError(ValueError):
     """Tap mask is not a degree-n polynomial with a constant term."""
-
-
-class FactorizationUnavailableError(ValueError):
-    """2**n - 1 has no entry in the built-in factor table."""
 
 
 class NonMaximalTapsWarning(UserWarning):
@@ -268,57 +263,57 @@ def _gf2_pow_x(e, f, n):
     return result
 
 
+def _order(n, taps, s):
+    """Least t dividing 2**n - 1 with s * x^t == s (mod taps), else None.
+
+    The t with s * x^t == s are the multiples of the orbit length of s, so
+    prime factors of 2**n - 1 are divided out while the congruence holds.
+    """
+    def fixed(t):
+        return _gf2_mulmod(s, _gf2_pow_x(t, taps, n), taps, n) == s
+
+    t = (1 << n) - 1
+    if not fixed(t):
+        return None
+    for p in _MERSENNE_FACTORS[n]:
+        while t % p == 0 and fixed(t // p):
+            t //= p
+    return t
+
+
 def verify_primitive(config):
     """True iff the configured polynomial is primitive over GF(2).
 
-    Checks that x has multiplicative order exactly 2**n - 1 modulo the
-    polynomial: x^(2^n - 1) == 1 and x^((2^n - 1)/p) != 1 for every prime
-    p dividing 2**n - 1.  Order 2**n - 1 forces irreducibility, so no
-    separate irreducibility test is needed.  The verdict is cached per
-    (order, taps).
+    That is, iff x has order exactly 2**n - 1 modulo it (`_order` of the
+    register 1), which also forces irreducibility.  The verdict is cached
+    per (order, taps).
     """
     return _is_primitive(config.order, config.taps)
 
 
 @functools.lru_cache(maxsize=64)
 def _is_primitive(n, taps):
-    factors = _MERSENNE_FACTORS.get(n)
-    if factors is None:
-        raise FactorizationUnavailableError(
-            f"no factorization of 2^{n} - 1 on record"
-        )
-    period = (1 << n) - 1
-    if _gf2_pow_x(period, taps, n) != 1:
-        return False
-    for p in factors:
-        if _gf2_pow_x(period // p, taps, n) == 1:
-            return False
-    return True
+    return _order(n, taps, 1) == (1 << n) - 1
 
 
 def lfsr_period(config, limit=1 << 24):
     """Exact state period of the register, or None if too costly to find.
 
-    For a tap mask f the state orbit is s, s*x, s*x^2, ... mod f, so the
-    period equals the multiplicative order of x mod f whenever the seed is
-    invertible (always true for primitive f).  When x^(2^n - 1) == 1 the
-    order is extracted from the factor table; otherwise the orbit is walked
-    directly up to `limit` steps.
+    The orbit s, s*x, s*x^2, ... mod f first returns to the seed s at the
+    least t with s * x^t == s, which can come sooner than the order of x
+    when s shares a factor with f.  A t dividing 2**n - 1 comes from
+    `_order`; otherwise the orbit is walked directly up to `limit` steps.
     """
     n = config.order
-    period = (1 << n) - 1
-    if _gf2_pow_x(period, config.taps, n) == 1:
-        order = period
-        for p in _MERSENNE_FACTORS[n]:
-            while order % p == 0 and _gf2_pow_x(order // p, config.taps, n) == 1:
-                order //= p
+    order = _order(n, config.taps, config.seed)
+    if order is not None:
         return order
-    f_low = config.taps & period
-    s = config.seed
-    start = s
+    mask = (1 << n) - 1
+    f_low = config.taps & mask
+    s = start = config.seed
     for t in range(1, limit + 1):
         msb = s >> (n - 1)
-        s = ((s << 1) & period) ^ (f_low if msb else 0)
+        s = ((s << 1) & mask) ^ (f_low if msb else 0)
         if s == start:
             return t
     return None
@@ -369,15 +364,6 @@ class LfsrState:
 
     # -- bulk generation ----------------------------------------------------
 
-    def _jump(self, steps):
-        """Register value after `steps` clocks, without walking them."""
-        return _gf2_mulmod(
-            self.register,
-            _gf2_pow_x(steps, self.config.taps, self.config.order),
-            self.config.taps,
-            self.config.order,
-        )
-
     def _lane_starts(self, lanes, per_lane):
         """Registers at words 0, per_lane, 2 * per_lane, ... of the stream.
 
@@ -409,6 +395,7 @@ class LfsrState:
         n = self.config.order
         per_lane = -(-count // _LANES)
         lanes = -(-count // per_lane)
+        last = count - (lanes - 1) * per_lane  # words in the last lane
         state = self._lane_starts(lanes, per_lane)
         step = _word_tables(n, self.config.taps)
         words = np.empty((per_lane, lanes), dtype=np.uint64)
@@ -416,7 +403,8 @@ class LfsrState:
             nxt = _lookup(step, state)
             words[m] = nxt[:, 0]
             state = nxt[:, 1]
-        self.register = self._jump(count * n)
+            if m + 1 == last:
+                self.register = int(state[-1])
         self.steps_taken += count * n
         return words.T.reshape(-1)[:count]
 
@@ -495,11 +483,7 @@ def new_lfsr(config):
     primitivity check fails, so a failing check degrades to a warning that
     reports the actual period when it is cheap to determine.
     """
-    try:
-        primitive = verify_primitive(config)
-    except FactorizationUnavailableError:
-        primitive = None
-    if primitive is False:
+    if not verify_primitive(config):
         period = lfsr_period(config, limit=1 << 20)
         detail = f"actual state period {period}" if period else "period not determined"
         warnings.warn(

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 import grng
 from grng import sampleio, stats, transforms, urng
@@ -28,6 +31,24 @@ def run_child(*argv):
 
 def assert_one_line_error(stderr):
     assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+
+
+# inputs that `test` and `hist` must refuse with a one-line error
+BAD_INPUTS = {
+    # a header for one float64 value, then 5 of its 8 bytes
+    "truncated.bin": sampleio.MAGIC + struct.pack("<IQ", 0, 1) + b"\x00" * 5,
+    "nan.csv": b"0.5\n" * 60 + b"nan\n",
+    "garbage.json": b'{"values": [1.0, 2',
+    "empty.bin": b"",
+    "empty.csv": b"",
+    "empty.json": b"",
+}
+
+
+def sample_lists(mode):
+    """Finite and infinite values a file in `mode` stores exactly."""
+    width = 64 if mode == "reference" else 32
+    return st_.lists(st_.floats(allow_nan=False, width=width), max_size=40)
 
 
 class TestSampleIo:
@@ -72,6 +93,53 @@ class TestSampleIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             read_samples(tmp_path / "absent.bin")
+
+    def test_json_integer_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"values": [1%s]}' % ("0" * 400))
+        with pytest.raises(ParseError):
+            read_samples(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fmt=st_.sampled_from(sampleio.FORMATS),
+           mode=st_.sampled_from(["reference", "pipeline"]), data=st_.data())
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, fmt, mode, data):
+        values = np.array(data.draw(sample_lists(mode)), dtype=np.float64)
+        path = tmp_path_factory.getbasetemp() / f"round_trip.{fmt}"
+        write_samples(path, values, mode, fmt)
+        got, got_mode = read_samples(path)
+        assert got.dtype == np.float64
+        assert got.tobytes() == values.tobytes()
+        assert got_mode == (None if fmt == "csv" else mode)
+
+    @settings(max_examples=200, deadline=None)
+    @given(suffix=st_.sampled_from(["bin", "csv", "json", "dat"]),
+           payload=st_.one_of(st_.binary(max_size=64),
+                              st_.binary(max_size=48).map(
+                                  lambda b: sampleio.MAGIC + b)))
+    def test_garbage_raises_only_parse_error(self, tmp_path_factory, suffix,
+                                             payload):
+        path = tmp_path_factory.getbasetemp() / f"garbage.{suffix}"
+        path.write_bytes(payload)
+        try:
+            read_samples(path)
+        except ParseError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(fmt=st_.sampled_from(sampleio.FORMATS),
+           mode=st_.sampled_from(["reference", "pipeline"]), data=st_.data())
+    def test_truncation_raises_only_parse_error(self, tmp_path_factory, fmt,
+                                                mode, data):
+        values = data.draw(sample_lists(mode).filter(bool))
+        path = tmp_path_factory.getbasetemp() / f"truncated.{fmt}"
+        write_samples(path, np.array(values), mode, fmt)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:data.draw(st_.integers(0, len(raw) - 1))])
+        try:
+            read_samples(path)
+        except ParseError:
+            pass
 
 
 class TestGen:
@@ -309,6 +377,15 @@ class TestTestCommand:
         assert r1.read_bytes() == r2.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["test", "hist"])
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_gives_one_line_error(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_bytes(BAD_INPUTS[name])
+    assert run(command, str(path)) in (1, 2)
+    assert_one_line_error(capsys.readouterr().err)
+
+
 class TestHistCommand:
     def test_matches_library_histogram(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
@@ -360,6 +437,10 @@ class TestBenchCommand:
     def test_zero_n_is_usage_error(self):
         assert run("bench", "--n", "0") == 1
 
+    @pytest.mark.parametrize("flag", [["--out", "x.bin"], ["--format", "csv"]])
+    def test_output_flags_are_usage_errors(self, flag):
+        assert run("bench", "--n", "10", *flag) == 1
+
 
 class TestQuadratureCommand:
     def test_csv_output_and_sidecar(self, tmp_path):
@@ -400,6 +481,17 @@ class TestQuadratureCommand:
         run("quadrature", "--n", "20", "--seed", "6", "--out", str(a))
         run("quadrature", "--n", "20", "--seed", "6", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_default_format_is_csv_in_file_and_sidecar(self, tmp_path):
+        out = tmp_path / "q.out"
+        assert run("quadrature", "--n", "5", "--seed", "6",
+                   "--out", str(out)) == 0
+        assert out.read_text().startswith("q,p\n")
+        assert read_sidecar(out)["format"] == "csv"
+
+    def test_bin_format_is_usage_error(self, tmp_path):
+        assert run("quadrature", "--n", "5", "--format", "bin",
+                   "--out", str(tmp_path / "q.bin")) == 1
 
     def test_zero_pairs_is_usage_error(self, tmp_path):
         assert run("quadrature", "--n", "0",

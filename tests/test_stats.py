@@ -121,6 +121,22 @@ class TestChi2Sf:
         assert chi2_sf(0.0, 7) == 1.0
         assert chi2_sf(1e4, 7) < 1e-300
 
+    @pytest.mark.parametrize("df", [999, 9999, 99999])
+    def test_against_oracle_large_df(self, df):
+        # the sum runs to df//2 terms: any cap on the term count fails here
+        from mpmath import gammainc, inf
+
+        for ratio in (0.98, 1.0, 1.02):
+            x = ratio * df
+            want = float(gammainc(mpf(df) / 2, mpf(repr(x)) / 2, inf,
+                                  regularized=True))
+            assert chi2_sf(x, df) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("df", [0, 2.5])
+    def test_df_must_be_a_positive_integer(self, df):
+        with pytest.raises(ValueError):
+            chi2_sf(1.0, df)
+
 
 class TestKolmogorovSf:
     def test_against_series_oracle_both_branches(self):
@@ -168,6 +184,11 @@ class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(EmptySampleError):
             build_histogram([], bins=4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteSampleError):
+            build_histogram([0.0, bad, 1.0], bins=4)
 
     def test_bad_bins_and_range(self):
         with pytest.raises(ValueError):

@@ -356,6 +356,18 @@ class TestPrimitivity:
         assert lfsr_period(cfg) == brute_force_period(cfg.taps, 4) == 6
         assert lfsr_period(primitive_config(16)) == 2 ** 16 - 1
 
+    def test_lfsr_period_exhaustive_small_orders(self):
+        # a seed sharing a factor with the polynomial can have a shorter
+        # orbit than x: x^8+x^7+x^6+x^4+1 has period 15, seed 0x13 period 5
+        for order in range(2, 9):
+            for middle in range(2 ** (order - 1)):
+                taps = (1 << order) | (middle << 1) | 1
+                for seed in range(1, 2 ** order):
+                    cfg = LfsrConfig(order=order, taps=taps, seed=seed)
+                    assert lfsr_period(cfg) == \
+                        brute_force_period(taps, order, seed), \
+                        f"{polynomial_str(taps)}, seed {seed:#x}"
+
     def test_non_primitive_taps_warn_but_work(self):
         cfg = LfsrConfig(order=4, taps=parse_polynomial("x^4+x^2+1"), seed=1)
         with pytest.warns(NonMaximalTapsWarning, match="period 6"):
