@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 from mpmath import mp, mpf
 from mpmath import cos as mcos, exp as mexp, log as mlog, pi as mpi, sin as msin
 
@@ -463,6 +465,113 @@ class TestTrace:
         t.clear_event("log")
         assert t.records == [{"core": "log", "event": "aclr"}]
         assert t.counts == {}
+
+
+def _record(core, inputs, output, *on):
+    """One pinned `to_dict` record; `on` names the flags that fire."""
+    return {"core": core, "input_bits_hex": inputs, "output_bits_hex": output,
+            "flags": {name: name in on
+                      for name in ("zero", "nan", "overflow", "underflow")},
+            "cycles": 1}
+
+
+# (algo, inputs, output bits, records, flag_counts): the to_dict of fixed passes
+TRACE_GATE = [
+    ("box-muller", [0.3, 0.7], ["bfbce741", "bef58384"], [
+        _record("log", ["3e99999a"], "bf9a1bc8"),
+        _record("mul", ["c0000000", "bf9a1bc8"], "401a1bc8"),
+        _record("sqrt", ["401a1bc8"], "3fc69fee"),
+        _record("mul", ["40c90fdb", "3f333333"], "408cbe4c"),
+        _record("sin", ["408cbe4c"], "bf737870"),
+        _record("cos", ["408cbe4c"], "be9e377d"),
+        _record("mul", ["3fc69fee", "bf737870"], "bfbce741"),
+        _record("mul", ["3fc69fee", "be9e377d"], "bef58384"),
+    ], {}),
+    # u1 = 1.0: LOG fires `zero` and the pair degrades to (0, 0)
+    ("box-muller", [1.0, 0.7], ["00000000", "00000000"], [
+        _record("log", ["3f800000"], "00000000", "zero"),
+        _record("mul", ["c0000000", "00000000"], "80000000", "zero"),
+        _record("sqrt", ["80000000"], "80000000", "zero"),
+        _record("mul", ["40c90fdb", "3f333333"], "408cbe4c"),
+        _record("sin", ["408cbe4c"], "bf737870"),
+        _record("cos", ["408cbe4c"], "be9e377d"),
+        _record("mul", ["80000000", "bf737870"], "00000000", "zero"),
+        _record("mul", ["80000000", "be9e377d"], "00000000", "zero"),
+    ], {"zero": 5}),
+    ("polar", [0.3, -0.4], ["3f7fc2c3", "bfaa81d7"], [
+        _record("mul", ["3e99999a", "3e99999a"], "3db851ec"),
+        _record("mul", ["becccccd", "becccccd"], "3e23d70b"),
+        _record("add", ["3db851ec", "3e23d70b"], "3e800000"),
+        _record("log", ["3e800000"], "bfb17218"),
+        _record("mul", ["c0000000", "bfb17218"], "40317218"),
+        _record("div", ["40317218", "3e800000"], "41317218"),
+        _record("sqrt", ["41317218"], "4055224d"),
+        _record("mul", ["3e99999a", "4055224d"], "3f7fc2c3"),
+        _record("mul", ["becccccd", "4055224d"], "bfaa81d7"),
+    ], {}),
+    ("polar", [0.9, 0.9], [], [
+        _record("mul", ["3f666666", "3f666666"], "3f4f5c28"),
+        _record("mul", ["3f666666", "3f666666"], "3f4f5c28"),
+        _record("add", ["3f4f5c28", "3f4f5c28"], "3fcf5c28"),
+    ], {}),
+    ("clt", [0.05 + 0.07 * i for i in range(12)], ["bf47ae08"], [
+        _record("add", ["3d4ccccd", "3df5c28f"], "3e2e147b"),
+        _record("add", ["3e2e147b", "3e428f5c"], "3eb851ec"),
+        _record("add", ["3eb851ec", "3e851eb8"], "3f1eb852"),
+        _record("add", ["3f1eb852", "3ea8f5c3"], "3f733334"),
+        _record("add", ["3f733334", "3ecccccd"], "3faccccd"),
+        _record("add", ["3faccccd", "3ef0a3d7"], "3fe8f5c3"),
+        _record("add", ["3fe8f5c3", "3f0a3d71"], "40170a3e"),
+        _record("add", ["40170a3e", "3f1c28f6"], "403e147c"),
+        _record("add", ["403e147c", "3f2e147b"], "4069999b"),
+        _record("add", ["4069999b", "3f400000"], "408cccce"),
+        _record("add", ["408cccce", "3f51eb85"], "40a70a3f"),
+        _record("mul", ["41400000", "3f000000"], "40c00000"),
+        _record("add", ["40a70a3f", "c0c00000"], "bf47ae08"),
+        _record("mul", ["41400000", "3daaaaab"], "3f800000"),
+        _record("sqrt", ["3f800000"], "3f800000"),
+        _record("div", ["bf47ae08", "3f800000"], "bf47ae08"),
+    ], {}),
+]
+
+
+class TestTraceGate:
+    """The serialized trace of fixed passes, record for record."""
+
+    @pytest.mark.parametrize("algo,inputs,outputs,records,flag_counts",
+                             TRACE_GATE)
+    def test_to_dict_pinned(self, algo, inputs, outputs, records, flag_counts):
+        outs, t = run_graph(algo, [F(v) for v in inputs])
+        assert [f"{bits_of(v):08x}" for v in outs] == outputs
+        counts = {}
+        for rec in records:
+            counts[rec["core"]] = counts.get(rec["core"], 0) + 1
+        doc = t.to_dict()
+        assert doc == {"records": records, "counts": counts,
+                       "flag_counts": flag_counts,
+                       "total_cycles": len(records)}
+        assert list(doc["counts"]) == list(counts)  # first-use order
+        assert json.loads(json.dumps(doc)) == doc
+
+    SPECIALS = [0.0, -0.0, 1.0, 2.0 ** -149, -(2.0 ** -130), math.nan]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st_.data(), algo=st_.sampled_from(transforms.ALGORITHMS))
+    def test_totals_match_records(self, data, algo):
+        value = st_.one_of(st_.sampled_from(self.SPECIALS),
+                           st_.integers(0, 2 ** 32 - 1).map(from_bits))
+        k = data.draw(st_.integers(2, 16)) if algo == "clt" else 2
+        xs = [F(v) for v in data.draw(st_.lists(value, min_size=k, max_size=k))]
+        outs, t = run_graph(algo, xs)
+        doc = t.to_dict()
+        flags = {}
+        for rec in doc["records"]:
+            for name, on in rec["flags"].items():
+                flags[name] = flags.get(name, 0) + on
+        assert doc["flag_counts"] == {n: c for n, c in flags.items() if c}
+        assert dict(t.counts) == expected_core_counts(algo, k=k,
+                                                      accepted=bool(outs))
+        assert len(t.records) == sum(t.counts.values())
 
 
 class TestPipelineStream:
