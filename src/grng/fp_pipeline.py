@@ -32,7 +32,9 @@ adds two evaluators to the float64 reference one:
 * `Binary32` -- the core results on whole batches, without flags; the
   batch generator `pipeline_stream` runs it.
 * the traced evaluator of `run_graph` -- a batch of one that goes through
-  the cores and records every invocation in a `PipelineTrace`.
+  the cores and records every invocation in a `PipelineTrace`.  A pass
+  enters one errstate and calls the core bodies under it; each public
+  `core_*` enters its own.
 
 The batch generator is therefore bit-identical to chaining `run_graph`
 calls by construction, and the per-pass invocation counts
@@ -50,6 +52,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +80,7 @@ __all__ = [
 _INF = np.float32(np.inf)
 _SMALLEST_NORMAL = np.float32(2.0 ** -126)
 _quiet = functools.partial(np.errstate, all="ignore")
+_FLAGS = ("zero", "nan", "overflow", "underflow")
 
 
 class ArityMismatchError(ValueError):
@@ -87,13 +91,10 @@ _BIG_ENDIAN = slice(None, None, -1 if np.little_endian else 1)
 
 
 def _hex32(x):
-    if type(x) is not np.float32:
-        x = np.float32(x)
-    return x.tobytes()[_BIG_ENDIAN].hex()
+    return np.float32(x).tobytes()[_BIG_ENDIAN].hex()
 
 
-@dataclass(frozen=True)
-class CoreResult:
+class CoreResult(NamedTuple):
     """Binary32 core output with its exception flags."""
 
     result: np.float32
@@ -104,51 +105,40 @@ class CoreResult:
 
     @property
     def flags(self):
-        return {"zero": self.zero, "nan": self.nan,
-                "overflow": self.overflow, "underflow": self.underflow}
+        return dict(zip(_FLAGS, self[1:]))
 
 
 @dataclass
 class PipelineTrace:
     """Per-invocation record of core activity.
 
+    Each record is the raw (core, inputs, CoreResult) of one invocation;
+    `counts` and `flag_counts` are kept as records arrive.  `to_dict`
+    renders the records with hex bit patterns and per-record flags.
     Traces are plain per-call values and are never shared between graph
-    invocations.  Latencies are metadata only: they contribute to
-    total_cycles but never change any computed value.  Asynchronous-clear
-    events (`aclr`) are likewise recorded as sentinel entries only.
+    invocations.
     """
 
-    latencies: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     counts: Counter = field(default_factory=Counter)
     flag_counts: Counter = field(default_factory=Counter)
-    total_cycles: int = 0
 
     def record(self, core, inputs, result):
-        cycles = self.latencies.get(core, 1)
-        flags = {name: bool(on) for name, on in result.flags.items()}
         self.counts[core] += 1
-        self.total_cycles += cycles
-        self.flag_counts.update(name for name, on in flags.items() if on)
-        self.records.append({
-            "core": core,
-            "input_bits_hex": [_hex32(v) for v in inputs],
-            "output_bits_hex": _hex32(result.result),
-            "flags": flags,
-            "cycles": cycles,
-        })
+        if any(result[1:]):
+            self.flag_counts.update(n for n, on in result.flags.items() if on)
+        self.records.append((core, inputs, result))
         return result
-
-    def clear_event(self, core):
-        """Record an asynchronous clear: a sentinel entry, no datapath effect."""
-        self.records.append({"core": core, "event": "aclr"})
 
     def to_dict(self):
         return {
-            "records": self.records,
+            "records": [{"core": core,
+                         "input_bits_hex": [_hex32(v) for v in inputs],
+                         "output_bits_hex": _hex32(r.result),
+                         "flags": {n: bool(on) for n, on in r.flags.items()}}
+                        for core, inputs, r in self.records],
             "counts": dict(self.counts),
             "flag_counts": dict(self.flag_counts),
-            "total_cycles": self.total_cycles,
         }
 
 
@@ -184,6 +174,16 @@ class Binary32(transforms.Float64):
         return dict(counts)
 
 
+def _core(body):
+    """A public core: `body` under its own errstate.  The traced evaluator
+    calls `body` itself (`__wrapped__`) inside one errstate per pass."""
+    @functools.wraps(body)
+    def core(*args):
+        with _quiet():
+            return body(*args)
+    return core
+
+
 def _no_port(r):
     """Constant flag of a port the core lacks, shaped like r without allocating."""
     return np.broadcast_to(False, r.shape) if r.shape else False
@@ -196,69 +196,76 @@ def _finite(x):
 def _arith(op, a, b):
     """A MUL/ADD core: op's result with the generic IEEE-derived flags."""
     a, b = np.float32(a), np.float32(b)
-    with _quiet():
-        r = op(a, b)
-    return CoreResult(result=r, zero=r == 0, nan=r != r,
-                      overflow=(abs(r) == _INF) & _finite(a) & _finite(b),
-                      underflow=(r != 0) & (abs(r) < _SMALLEST_NORMAL))
+    r = op(a, b)
+    return CoreResult(r, r == 0, r != r,
+                      (abs(r) == _INF) & _finite(a) & _finite(b),
+                      (r != 0) & (abs(r) < _SMALLEST_NORMAL))
 
 
+@_core
 def core_log(x):
     """Natural logarithm core (binary32 in, binary32 out)."""
     x = np.float32(x)
-    with _quiet():
-        r = Binary32.log(x)
-    return CoreResult(result=r, zero=r == 0, nan=(x != x) | (x < 0),
-                      overflow=_no_port(r), underflow=_no_port(r))
+    r = Binary32.log(x)
+    none = _no_port(r)
+    return CoreResult(r, r == 0, (x != x) | (x < 0), none, none)
+
+
+def _trig(fn, x):
+    r = fn(np.float32(x))
+    none = _no_port(r)
+    return CoreResult(r, none, none, none, none)
+
+
+@_core
+def core_sin(x):
+    """Sine core.  No exception ports."""
+    return _trig(Binary32.sin, x)
+
+
+@_core
+def core_cos(x):
+    """Cosine core.  No exception ports."""
+    return _trig(Binary32.cos, x)
 
 
 def core_sincos(x, mode):
     """Trigonometric core; `mode` is "sin" or "cos".  No exception ports."""
     if mode not in ("sin", "cos"):
         raise ValueError(f"mode must be 'sin' or 'cos', got {mode!r}")
-    x = np.float32(x)
-    with _quiet():
-        r = getattr(Binary32, mode)(x)
-    none = _no_port(r)
-    return CoreResult(result=r, zero=none, nan=none, overflow=none, underflow=none)
+    return core_sin(x) if mode == "sin" else core_cos(x)
 
 
-def core_sin(x):
-    return core_sincos(x, "sin")
-
-
-def core_cos(x):
-    return core_sincos(x, "cos")
-
-
+@_core
 def core_div(a, b):
     """Correctly rounded binary32 division with the documented flag set."""
     a, b = np.float32(a), np.float32(b)
-    with _quiet():
-        q = Binary32.div(a, b)
-    nonzero_inputs = (a != 0) & (b != 0)
-    return CoreResult(
-        result=q, zero=q == 0, nan=q != q,
-        overflow=(abs(q) == _INF) & _finite(a) & _finite(b) & (b != 0),
-        underflow=(abs(q) < _SMALLEST_NORMAL) & nonzero_inputs,
-    )
+    q = Binary32.div(a, b)
+    return CoreResult(q, q == 0, q != q,
+                      (abs(q) == _INF) & _finite(a) & _finite(b) & (b != 0),
+                      (abs(q) < _SMALLEST_NORMAL) & (a != 0) & (b != 0))
 
 
+@_core
 def core_sqrt(x):
     """Correctly rounded binary32 square root with the documented flag set."""
-    x = np.float32(x)
-    with _quiet():
-        r = Binary32.sqrt(x)
-    return CoreResult(result=r, zero=r == 0, nan=r != r, overflow=r == _INF,
-                      underflow=_no_port(r))
+    r = Binary32.sqrt(np.float32(x))
+    return CoreResult(r, r == 0, r != r, r == _INF, _no_port(r))
 
 
+@_core
 def core_mul(a, b):
     return _arith(Binary32.mul, a, b)
 
 
+@_core
 def core_add(a, b):
     return _arith(Binary32.add, a, b)
+
+
+#: The seven cores by the evaluator operation they implement.
+_CORES = {"log": core_log, "sin": core_sin, "cos": core_cos, "sqrt": core_sqrt,
+          "mul": core_mul, "add": core_add, "div": core_div}
 
 
 def uniform_to_f32(word, order):
@@ -270,37 +277,22 @@ class _Rejected(Exception):
     """A traced polar proposal fell outside the unit disk."""
 
 
+def _traced_op(name, core):
+    """Evaluator operation `name`: the body of `core`, recorded."""
+    body = core.__wrapped__
+
+    def op(self, *xs):
+        return self.record(name, xs, body(*xs)).result
+    return op
+
+
 class _Traced:
     """Batch-of-one evaluator: every operation runs its core and is recorded."""
 
     dtype = np.float32
 
     def __init__(self, trace):
-        self.trace = trace
-
-    def _run(self, name, core, *xs):
-        return self.trace.record(name, xs, core(*xs)).result
-
-    def log(self, x):
-        return self._run("log", core_log, x)
-
-    def sin(self, x):
-        return self._run("sin", core_sin, x)
-
-    def cos(self, x):
-        return self._run("cos", core_cos, x)
-
-    def sqrt(self, x):
-        return self._run("sqrt", core_sqrt, x)
-
-    def mul(self, a, b):
-        return self._run("mul", core_mul, a, b)
-
-    def add(self, a, b):
-        return self._run("add", core_add, a, b)
-
-    def div(self, a, b):
-        return self._run("div", core_div, a, b)
+        self.record = trace.record
 
     @staticmethod
     def accept(keep, *xs):
@@ -309,7 +301,11 @@ class _Traced:
         return xs
 
 
-def run_graph(algo, inputs, *, k=None, latencies=None, trace=None):
+for _name, _core_fn in _CORES.items():
+    setattr(_Traced, _name, _traced_op(_name, _core_fn))
+
+
+def run_graph(algo, inputs, *, k=None, trace=None):
     """Evaluate one architecture graph on binary32 inputs.
 
     Returns (outputs, trace).  Inputs: (u1, u2) for box-muller, disk
@@ -317,7 +313,7 @@ def run_graph(algo, inputs, *, k=None, latencies=None, trace=None):
     proposal returns no outputs and a trace holding only the two squaring
     multipliers and the adder that computed s.
     """
-    t = trace if trace is not None else PipelineTrace(latencies=latencies or {})
+    t = trace if trace is not None else PipelineTrace()
     xs = [np.float32(v) for v in inputs]
     if algo not in transforms.ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -328,7 +324,8 @@ def run_graph(algo, inputs, *, k=None, latencies=None, trace=None):
     elif len(xs) != 2:
         raise ArityMismatchError(f"{algo} graph takes 2 inputs")
     try:
-        outputs = transforms.ARCHITECTURES[algo](_Traced(t), xs)
+        with _quiet():
+            outputs = transforms.ARCHITECTURES[algo](_Traced(t), xs)
     except _Rejected:
         return [], t
     return list(outputs), t

@@ -12,7 +12,6 @@ from grng import fp_pipeline as fp
 from grng import transforms, urng
 from grng.fp_pipeline import (
     ArityMismatchError,
-    PipelineTrace,
     core_add,
     core_cos,
     core_div,
@@ -453,26 +452,12 @@ class TestTrace:
         assert first["core"] == "log"
         assert from_bits(int(first["input_bits_hex"][0], 16)) == F(0.25)
 
-    def test_latency_is_metadata_only(self):
-        fast, tf = run_graph("box-muller", [F(0.25), F(0.75)])
-        slow, ts = run_graph("box-muller", [F(0.25), F(0.75)],
-                             latencies={"log": 21, "sqrt": 28})
-        assert [bits_of(v) for v in fast] == [bits_of(v) for v in slow]
-        assert ts.total_cycles == tf.total_cycles - 2 + 21 + 28
-
-    def test_clear_event_sentinel(self):
-        t = PipelineTrace()
-        t.clear_event("log")
-        assert t.records == [{"core": "log", "event": "aclr"}]
-        assert t.counts == {}
-
 
 def _record(core, inputs, output, *on):
     """One pinned `to_dict` record; `on` names the flags that fire."""
     return {"core": core, "input_bits_hex": inputs, "output_bits_hex": output,
             "flags": {name: name in on
-                      for name in ("zero", "nan", "overflow", "underflow")},
-            "cycles": 1}
+                      for name in ("zero", "nan", "overflow", "underflow")}}
 
 
 # (algo, inputs, output bits, records, flag_counts): the to_dict of fixed passes
@@ -548,8 +533,7 @@ class TestTraceGate:
             counts[rec["core"]] = counts.get(rec["core"], 0) + 1
         doc = t.to_dict()
         assert doc == {"records": records, "counts": counts,
-                       "flag_counts": flag_counts,
-                       "total_cycles": len(records)}
+                       "flag_counts": flag_counts}
         assert list(doc["counts"]) == list(counts)  # first-use order
         assert json.loads(json.dumps(doc)) == doc
 
