@@ -8,7 +8,9 @@ sequence:
   reference mode, float32 in pipeline mode.  Bit-exact interchange.
 * csv  -- one value per line, printed with repr (shortest round-trip
   decimal), no header.
-* json -- {"magic": "GRNG", "mode": ..., "count": ..., "values": [...]}.
+* json -- {"magic": "GRNG", "mode": ..., "count": ..., "values": [...]};
+  "values" must be a flat list of numbers, and "count", when present,
+  must equal its length.
 
 Every generated sample file gets a sidecar metadata record at
 "<path>.meta.json" describing the full generation config and the uniform
@@ -109,9 +111,16 @@ def read_samples(path, fmt=None):
     if fmt == "json":
         try:
             doc = json.loads(data)
-            values = np.asarray(doc["values"], dtype=np.float64)
+            raw = doc["values"]
+            # exact types: a bool, null, string or list is not a sample
+            if not isinstance(raw, list) or not {*map(type, raw)} <= {int, float}:
+                raise ValueError('"values" is not a flat list of numbers')
+            values = np.asarray(raw, dtype=np.float64)
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"{path} is not a GRNG json sample file: {exc}") from exc
+        count = doc.get("count", values.size)
+        if count != values.size:
+            raise ParseError(f"{path}: header claims {count} values, found {values.size}")
         return values, doc.get("mode")
     if fmt == "csv":
         try:

@@ -39,6 +39,14 @@ BAD_INPUTS = {
     "truncated.bin": sampleio.MAGIC + struct.pack("<IQ", 0, 1) + b"\x00" * 5,
     "nan.csv": b"0.5\n" * 60 + b"nan\n",
     "garbage.json": b'{"values": [1.0, 2',
+    # json whose "values" is not a flat list of numbers, or whose count lies
+    "scalar.json": b'{"values": 5}',
+    "null.json": b'{"values": null}',
+    "nested.json": b'{"values": [[1.0, 2.0]]}',
+    "null-item.json": b'{"values": [1.0, null]}',
+    "string-item.json": b'{"values": [1.0, "2.0"]}',
+    "bool-item.json": b'{"values": [1.0, true]}',
+    "count.json": b'{"count": 10, "values": [1.0, 2.0]}',
     "empty.bin": b"",
     "empty.csv": b"",
     "empty.json": b"",
@@ -99,6 +107,22 @@ class TestSampleIo:
         path.write_text('{"values": [1%s]}' % ("0" * 400))
         with pytest.raises(ParseError):
             read_samples(path)
+
+    @pytest.mark.parametrize("name", sorted(n for n in BAD_INPUTS
+                                            if n.endswith(".json")))
+    def test_malformed_json_rejected(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(BAD_INPUTS[name])
+        with pytest.raises(ParseError):
+            read_samples(path)
+        assert run("hist", str(path)) == 2
+        assert_one_line_error(capsys.readouterr().err)
+
+    def test_json_count_header_is_optional(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"values": [1, 2.5]}')
+        values, mode = read_samples(path)
+        assert values.tolist() == [1.0, 2.5] and mode is None
 
     @settings(max_examples=60, deadline=None)
     @given(fmt=st_.sampled_from(sampleio.FORMATS),
