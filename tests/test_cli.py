@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import grng
-from grng import sampleio, stats, transforms, urng
+from grng import cli, sampleio, stats, transforms, urng
 from grng.cli import main
 from grng.sampleio import ParseError, read_samples, read_sidecar, write_samples
 
@@ -226,6 +226,12 @@ class TestGen:
                                               seed=s)) for s in seeds[:2]]
         want = transforms.stream("box-muller", srcs, 251)
         assert np.array_equal(values[:251], want.values)
+
+    @given(n=st_.integers(0, 10 ** 12), shards=st_.integers(1, 4096))
+    def test_shard_sizes_split_evenly(self, n, shards):
+        sizes = cli._shard_sizes(n, shards)
+        assert len(sizes) == shards and sum(sizes) == n
+        assert max(sizes) - min(sizes) <= 1
 
     def test_empty_shards_get_no_seeds(self, tmp_path):
         # shards beyond the n-th hold no sample and get no LFSR seeds

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 from mpmath import mp, mpf
 from mpmath import cos as mcos, log as mlog, sin as msin, sqrt as msqrt
 
@@ -184,6 +186,24 @@ class TestStream:
         assert 1.25 < ratio < 1.30  # 4/pi ~ 1.2732 plus block overshoot
         assert res.pairs_accepted <= res.pairs_proposed
         assert res.uniforms_consumed == 2 * res.pairs_proposed
+
+    @settings(max_examples=60, deadline=None)
+    @given(algo=st_.sampled_from(transforms.ALGORITHMS),
+           mode=st_.sampled_from(["reference", "pipeline"]),
+           count=st_.integers(0, 3_000), k=st_.integers(2, 16),
+           master=st_.integers(0, 2 ** 32))
+    def test_accounting(self, algo, mode, count, k, master):
+        arity = k if algo == "clt" else 2
+        res = stream(algo, make_sources(master, arity), count, mode=mode,
+                     clt=CltConfig(k=k))
+        assert res.values.size == count
+        if algo == "polar":
+            proposals = res.pairs_proposed
+            assert count <= 2 * res.pairs_accepted <= 2 * proposals
+        else:
+            proposals = count if algo == "clt" else -(-count // 2)
+            assert res.pairs_proposed == res.pairs_accepted == 0
+        assert res.uniforms_consumed == arity * proposals
 
     def test_determinism(self):
         a = stream("polar", make_sources(9, 2), 5_001)

@@ -143,6 +143,14 @@ class TestPolynomialStrings:
         for poly in ("x^32+x^8+x^5+x^2+1", "x^4+x+1", "x^2+x+1"):
             assert polynomial_str(parse_polynomial(poly)) == poly
 
+    @given(data=st_.data())
+    def test_round_trip_of_any_tap_mask(self, data):
+        order = data.draw(st_.integers(2, 64), label="order")
+        middle = data.draw(st_.integers(0, (1 << (order - 1)) - 1),
+                           label="middle taps")
+        taps = (1 << order) | (middle << 1) | 1
+        assert parse_polynomial(polynomial_str(taps)) == taps
+
     def test_reject_garbage(self):
         with pytest.raises(BadPolynomialError):
             parse_polynomial("x^4+y+1")
