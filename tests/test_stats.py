@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -437,3 +438,87 @@ class TestBatteryBehavior:
             xs = np.random.default_rng(20_000 + seed).random(10_000)
             assert kolmogorov_smirnov(xs).rejected
             assert anderson_darling(xs).rejected
+
+
+def _streamed(algo, mode, master, k=2):
+    from grng import transforms, urng
+
+    seeds = urng.derive_seeds(master, k, 32)
+    sources = [urng.new_lfsr(urng.LfsrConfig(
+        order=32, taps=urng.DEFAULT_POLYNOMIAL, seed=s)) for s in seeds]
+    return transforms.stream(algo, sources, 100_000, mode=mode,
+                             clt=transforms.CltConfig(k=k)).values
+
+
+def _normals(n, master):
+    return [normal_ppf(u) for u in fixed_uniforms(n, master)]
+
+
+_GATE_SAMPLES = {
+    "box-muller-reference": lambda: _streamed("box-muller", "reference", 71),
+    "polar-pipeline": lambda: _streamed("polar", "pipeline", 73),
+    "clt12-pipeline": lambda: _streamed("clt", "pipeline", 79, k=12),
+    "n8": lambda: _normals(8, 83),
+    "n50": lambda: _normals(50, 89),
+    # 0.0 and every cut point: a value equal to a cut belongs to the bin above
+    "ties": lambda: ([0.0] + [normal_ppf(i / 8) for i in range(1, 8)] * 7
+                     + _normals(13, 97)),
+    # |y| >= 36 takes the asymptotic tail series
+    "far": lambda: _normals(200, 101) + [36.0, -36.0, 40.0, -40.0],
+}
+
+# float.hex of (statistic, p-value) per test; None where chi2 needs n >= 50
+_GATE_PINNED = {
+    "box-muller-reference": {
+        "chi2": ("0x1.d74927913e814p+2", "0x1.9169a3fd15944p-2"),
+        "ad": ("0x1.85cf243100000p-1", "0x1.04ff5fdbe0420p-1"),
+        "ks": ("0x1.26acbf8703f00p-9", "0x1.628f734523c6cp-1")},
+    "polar-pipeline": {
+        "chi2": ("0x1.e89ca18bd6628p+2", "0x1.76b3189db067cp-2"),
+        "ad": ("0x1.9c08fbdc80000p+0", "0x1.38079e0755378p-3"),
+        "ks": ("0x1.a9a3acd53dd00p-9", "0x1.ef5dc6c5c3be0p-3")},
+    "clt12-pipeline": {
+        "chi2": ("0x1.5599ed7c6fbd2p+3", "0x1.3a3c30f71031ap-3"),
+        "ad": ("0x1.0bb1407758000p+1", "0x1.4f5236b13c1c8p-4"),
+        "ks": ("0x1.244e8dc725d00p-8", "0x1.3198634950757p-5")},
+    "n8": {
+        "chi2": None,
+        "ad": ("0x1.4d8344a3b93f0p+0", "0x1.da028fccfd99cp-3"),
+        "ks": ("0x1.34252061df752p-2", "0x1.93a3a138ac7d4p-2")},
+    "n50": {
+        "chi2": ("0x1.d1eb851eb851ep+2", "0x1.99ed885a2f883p-2"),
+        "ad": ("0x1.a24b2f6a01200p-1", "0x1.e0353d4fb357ap-2"),
+        "ks": ("0x1.b8dfd77c1c1c9p-4", "0x1.2b1675c8e2b04p-1")},
+    "ties": {
+        "chi2": ("0x1.3861861861862p+3", "0x1.9ea9d8d46aad1p-3"),
+        "ad": ("0x1.4391b4a3f65c0p+0", "0x1.f48bc259c7384p-3"),
+        "ks": ("0x1.0000000000002p-3", "0x1.0ad8d2d58b394p-2")},
+    "far": {
+        "chi2": ("0x1.a0a0a0a0a0a0ap+2", "0x1.ed31aa19935cap-2"),
+        "ad": ("0x1.d45d9900dfb10p+4", "0x0.0p+0"),
+        "ks": ("0x1.21a2924b615e8p-4", "0x1.00327463410aep-2")},
+}
+
+_SUITES = [subset for r in (1, 2, 3)
+           for subset in itertools.combinations(("chi2", "ad", "ks"), r)]
+
+
+class TestBatteryGate:
+    """Every statistic and p-value of `run_suite`, pinned bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return {name: make() for name, make in _GATE_SAMPLES.items()}
+
+    @pytest.mark.parametrize("suite", _SUITES, ids="+".join)
+    @pytest.mark.parametrize("case", sorted(_GATE_PINNED))
+    def test_reports_pinned(self, samples, case, suite):
+        pinned = _GATE_PINNED[case]
+        if "chi2" in suite and pinned["chi2"] is None:
+            with pytest.raises(InsufficientSampleError):
+                run_suite(samples[case], suite=suite)
+            return
+        reports = run_suite(samples[case], suite=suite)
+        assert [r.test_name for r in reports] == list(suite)
+        assert [(r.statistic.hex(), r.p_value.hex()) for r in reports] == \
+            [pinned[name] for name in suite]
