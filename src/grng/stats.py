@@ -13,19 +13,23 @@ drawn from N(0, 1)":
   Q(lam) = 2 sum_j (-1)^(j-1) exp(-2 j^2 lam^2) evaluated at the
   finite-sample argument lam = (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D.
 
-Every test sorts a private copy of its input, so sample order never
-matters, and all operations here are pure functions over immutable
-buffers.  p-values are always numeric; values that underflow double
-precision render as "< 1e-300" in reports.
+`run_suite` judges one sorted copy of the sample, so sample order never
+matters and the caller's buffer is never written; the single-test
+functions are `run_suite` with one test.  chi2 counts its bins by
+searching the cut points in the sorted sample.  One erfc pass over the
+sorted copy, which it takes over, then yields the smaller tail
+Phi(-|y|) and its logarithm for both AD and KS, so each side of the
+normal distribution is computed in one place.  KS reads the tail before
+AD reuses its buffer.  p-values are always numeric; values that
+underflow double precision render as "< 1e-300" in reports.
 
 The normal quantile is the standard library's `statistics.NormalDist`
-(Wichura's AS241).  AD and KS share one erfc pass per sample, which yields
-the smaller tail Phi(-|y|) and its logarithm, so each side of the normal
-distribution is computed in one place.  The chi-square tail is the finite
-sum that integer degrees of freedom allow (no incomplete-gamma series or
-continued fraction), and the Kolmogorov series is summed directly, so the
-library needs nothing beyond numpy and the standard library; the test suite
-cross-checks both against extended-precision oracles.
+(Wichura's AS241); the chi-square cut points take the lower half from it
+and mirror it.  The chi-square tail is the finite sum that integer degrees
+of freedom allow (no incomplete-gamma series or continued fraction), and
+the Kolmogorov series is summed directly, so the library needs nothing
+beyond numpy and the standard library; the test suite cross-checks both
+against extended-precision oracles.
 """
 
 from __future__ import annotations
@@ -73,6 +77,8 @@ class NonFiniteSampleError(ValueError):
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _STANDARD_NORMAL = NormalDist()
+_TESTS = ("chi2", "ad", "ks")
+_KS_BLOCK = 1 << 16
 
 
 def normal_cdf(x):
@@ -83,10 +89,11 @@ def normal_cdf(x):
 def _normal_tail(ys):
     """Smaller tail t = Phi(-|y|) of each y, and log t: one erfc per element.
 
+    Takes over ys: |y| is formed in its buffer, which then holds log t.
     From |y| = 36 on, where t nears underflow, log t comes from the
     asymptotic series Phi(-a) ~ phi(a)/a * (1 - 1/a^2 + 3/a^4 - 15/a^6).
     """
-    a = np.abs(ys)
+    a = np.abs(ys, out=ys)
     far = a >= 36.0
     a_far = a[far]
     a /= _SQRT2
@@ -239,40 +246,52 @@ def build_histogram(samples, bins, range=None):
     return Histogram(bin_edges=edges, counts=counts, total=int(counts.sum()))
 
 
-def chi_square_gof(samples, alpha=0.05, bins=8):
-    """Chi-square goodness of fit against N(0, 1) over equal-probability bins.
+def _chi2_cuts(bins):
+    """The bins - 1 normal quantiles at i / bins, in increasing order.
 
-    Cut points are standard-normal quantiles, so every bin has expected
-    count N / bins; the statistic is referred to chi-square with bins - 1
-    degrees of freedom.
+    The lower half comes from normal_ppf and the upper half mirrors it
+    (Phi^-1(1 - p) = -Phi^-1(p)), so the cuts are exactly antisymmetric.
     """
-    xs = _as_sample(samples)
-    n = xs.size
-    if n < 50:
-        raise InsufficientSampleError(f"chi-square needs >= 50 samples, got {n}")
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
-    cuts = np.array([normal_ppf(i / bins) for i in range(1, bins)])
-    observed = np.bincount(np.searchsorted(cuts, xs, side="right"),
-                           minlength=bins).astype(np.float64)
+    lower = np.array([normal_ppf(i / bins) for i in range(1, (bins + 1) // 2)])
+    middle = [0.0] if bins % 2 == 0 else []
+    return np.concatenate((lower, middle, -lower[::-1]))
+
+
+def _chi2(ys, alpha, bins):
+    """chi2 report of the sorted sample ys."""
+    n = ys.size
+    # bin i holds cut_i <= y < cut_i+1: the count of y below each cut, differenced
+    below = np.searchsorted(ys, _chi2_cuts(bins), side="left")
+    observed = np.diff(below, prepend=0, append=n).astype(np.float64)
     expected = n / bins
     stat = float(((observed - expected) ** 2 / expected).sum())
     p = chi2_sf(stat, bins - 1)
     return TestReport("chi2", stat, p, rejected=p < alpha, alpha=alpha)
 
 
-def anderson_darling(samples, alpha=0.05):
-    """Case-0 Anderson-Darling test against the fully specified N(0, 1)."""
-    xs = _as_sample(samples)
-    n = xs.size
-    if n < 8:
-        raise InsufficientSampleError(f"Anderson-Darling needs >= 8 samples, got {n}")
-    ys = np.sort(xs)
+def _ks(t, upper, alpha):
+    """KS report from the tail t of the sorted sample; t is only read."""
+    n = t.size
+    d = 0.0
+    # in blocks, so the scratch arrays stay small; D is the largest over all
+    for lo in range(0, n, _KS_BLOCK):
+        hi = lo + _KS_BLOCK
+        # Phi(y) = t up to the median, 1 - t above it
+        cdf = t[lo:hi].copy()
+        np.subtract(1.0, cdf, out=cdf, where=upper[lo:hi])
+        i = np.arange(lo + 1, lo + 1 + cdf.size, dtype=np.float64)
+        d = max(d, float(np.max(i / n - cdf)), float(np.max(cdf - (i - 1.0) / n)))
+    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
+    p = kolmogorov_sf(lam)
+    return TestReport("ks", d, p, rejected=p < alpha, alpha=alpha)
+
+
+def _ad(t, log_t, upper, alpha):
+    """AD report from the tail t and log t of the sorted sample; uses up t."""
+    n = t.size
     # log Phi(y) is log(1 - t) above the median and log t below it, and
     # log Phi(-y) the other way round.  log_sf starts as log(1 - t) in t's
     # buffer; the in-place steps keep the peak memory low
-    t, log_t = _normal_tail(ys)
-    upper = ys > 0.0
     log_sf = np.log1p(np.negative(t, out=t), out=t)
     log_cdf = np.where(upper, log_sf, log_t)
     np.copyto(log_sf, log_t, where=upper)
@@ -283,26 +302,28 @@ def anderson_darling(samples, alpha=0.05):
     return TestReport("ad", a2, p, rejected=p < alpha, alpha=alpha)
 
 
+def chi_square_gof(samples, alpha=0.05, bins=8):
+    """Chi-square goodness of fit against N(0, 1) over equal-probability bins.
+
+    Cut points are standard-normal quantiles, so every bin has expected
+    count N / bins; the statistic is referred to chi-square with bins - 1
+    degrees of freedom.
+    """
+    return run_suite(samples, ("chi2",), alpha=alpha, bins=bins)[0]
+
+
+def anderson_darling(samples, alpha=0.05):
+    """Case-0 Anderson-Darling test against the fully specified N(0, 1)."""
+    return run_suite(samples, ("ad",), alpha=alpha)[0]
+
+
 def kolmogorov_smirnov(samples, alpha=0.05):
     """One-sample KS test against N(0, 1).
 
     D = max_i max(i/n - Phi(x_(i)), Phi(x_(i)) - (i-1)/n); the p-value uses
     the Kolmogorov series at (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D.
     """
-    xs = _as_sample(samples)
-    n = xs.size
-    if n < 1:
-        raise InsufficientSampleError("Kolmogorov-Smirnov needs >= 1 sample")
-    ys = np.sort(xs)
-    cdf = _normal_tail(ys)[0]  # Phi(y) = t below the median, 1 - t above
-    np.subtract(1.0, cdf, out=cdf, where=ys > 0.0)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d_plus = float(np.max(i / n - cdf))
-    d_minus = float(np.max(cdf - (i - 1.0) / n))
-    d = max(d_plus, d_minus)
-    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
-    p = kolmogorov_sf(lam)
-    return TestReport("ks", d, p, rejected=p < alpha, alpha=alpha)
+    return run_suite(samples, ("ks",), alpha=alpha)[0]
 
 
 class Moments(NamedTuple):
@@ -335,12 +356,39 @@ def moments(samples):
 
 
 def run_suite(samples, suite=("chi2", "ad", "ks"), alpha=0.05, bins=8):
-    """Run the requested subset of tests, in canonical chi2/ad/ks order."""
-    known = {"chi2": lambda: chi_square_gof(samples, alpha=alpha, bins=bins),
-             "ad": lambda: anderson_darling(samples, alpha=alpha),
-             "ks": lambda: kolmogorov_smirnov(samples, alpha=alpha)}
-    unknown = [name for name in suite if name not in known]
+    """Run the requested subset of tests, in canonical chi2/ad/ks order.
+
+    One sorted copy of the sample feeds every test, and AD and KS share
+    one tail pass over it.  Sample-size checks run first, in canonical
+    order, so the error does not depend on the order the tests compute in.
+    """
+    unknown = [name for name in suite if name not in _TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {unknown}; expected subset of "
-                         f"{sorted(known)}")
-    return [known[name]() for name in ("chi2", "ad", "ks") if name in suite]
+                         f"{sorted(_TESTS)}")
+    wanted = [name for name in _TESTS if name in suite]
+    if not wanted:
+        return []
+    xs = _as_sample(samples)
+    n = xs.size
+    if "chi2" in wanted:
+        if n < 50:
+            raise InsufficientSampleError(f"chi-square needs >= 50 samples, got {n}")
+        if bins < 2:
+            raise ValueError(f"bins must be >= 2, got {bins}")
+    if "ad" in wanted and n < 8:
+        raise InsufficientSampleError(f"Anderson-Darling needs >= 8 samples, got {n}")
+    if "ks" in wanted and n < 1:
+        raise InsufficientSampleError("Kolmogorov-Smirnov needs >= 1 sample")
+    ys = np.sort(xs)
+    reports = {}
+    if "chi2" in wanted:
+        reports["chi2"] = _chi2(ys, alpha, bins)
+    if "ad" in wanted or "ks" in wanted:
+        upper = ys > 0.0
+        t, log_t = _normal_tail(ys)
+        if "ks" in wanted:  # before AD, which turns t into log(1 - t)
+            reports["ks"] = _ks(t, upper, alpha)
+        if "ad" in wanted:
+            reports["ad"] = _ad(t, log_t, upper, alpha)
+    return [reports[name] for name in wanted]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 from mpmath import mp, mpf, ncdf
 from mpmath import exp as mexp, log as mlog, sqrt as msqrt
 
@@ -522,3 +524,63 @@ class TestBatteryGate:
         assert [r.test_name for r in reports] == list(suite)
         assert [(r.statistic.hex(), r.p_value.hex()) for r in reports] == \
             [pinned[name] for name in suite]
+
+
+_SUITE_ORDERS = [order for r in (1, 2, 3)
+                 for order in itertools.permutations(("chi2", "ad", "ks"), r)]
+
+
+def _expected_error(xs):
+    """The error each single test raises on xs, None where it runs."""
+    n = len(xs)
+    if any(math.isnan(x) for x in xs):
+        error = (NonFiniteSampleError, "sample contains non-finite values")
+        return dict.fromkeys(("chi2", "ad", "ks"), error)
+    return {
+        "chi2": (InsufficientSampleError,
+                 f"chi-square needs >= 50 samples, got {n}") if n < 50 else None,
+        "ad": (InsufficientSampleError,
+               f"Anderson-Darling needs >= 8 samples, got {n}") if n < 8 else None,
+        "ks": (InsufficientSampleError,
+               "Kolmogorov-Smirnov needs >= 1 sample") if n < 1 else None,
+    }
+
+
+class TestRunSuiteProperties:
+    SINGLE = {"chi2": chi_square_gof, "ad": anderson_darling,
+              "ks": kolmogorov_smirnov}
+
+    @settings(max_examples=150, deadline=None)
+    @given(xs=st_.one_of(
+               st_.lists(st_.floats(-45.0, 45.0), max_size=120),
+               st_.lists(st_.floats(-45.0, 45.0), min_size=1, max_size=60).map(
+                   lambda v: v[:len(v) // 2] + [math.nan] + v[len(v) // 2:])),
+           suite=st_.sampled_from(_SUITE_ORDERS), bins=st_.sampled_from([2, 7, 8]))
+    def test_matches_single_tests(self, xs, suite, bins):
+        # one shared sort and tail pass gives the public tests' bits and
+        # errors; the first failing test in chi2/ad/ks order decides the error
+        arr = np.array(xs, dtype=np.float64)
+        arr.flags.writeable = False
+        before = arr.tobytes()
+        errors = _expected_error(xs)
+        first = next((errors[name] for name in ("chi2", "ad", "ks")
+                      if name in suite and errors[name]), None)
+        if first:
+            with pytest.raises(first[0]) as info:
+                run_suite(arr, suite=suite, bins=bins)
+            assert str(info.value) == first[1]
+        else:
+            got = run_suite(arr, suite=suite, bins=bins)
+            kwargs = {"bins": bins}
+            want = [self.SINGLE[name](xs, **(kwargs if name == "chi2" else {}))
+                    for name in ("chi2", "ad", "ks") if name in suite]
+            assert [(r.test_name, r.statistic.hex(), r.p_value.hex(), r.rejected)
+                    for r in got] == \
+                [(r.test_name, r.statistic.hex(), r.p_value.hex(), r.rejected)
+                 for r in want]
+        for name in suite:
+            if errors[name]:
+                with pytest.raises(errors[name][0]) as info:
+                    self.SINGLE[name](arr)
+                assert str(info.value) == errors[name][1]
+        assert arr.tobytes() == before
