@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_TEXT_CHUNK = 1 << 16  # pairs formatted at a time: bounds the Python floats alive
+
 __all__ = [
     "ModulationConfig",
     "QuadraturePair",
@@ -75,10 +77,12 @@ def quadrature_stream(source, config):
 
 
 def pairs_to_csv(pairs):
-    lines = ["q,p"]
-    for q, p in np.asarray(pairs):
-        lines.append(f"{float(q)!r},{float(p)!r}")
-    return "\n".join(lines) + "\n"
+    pairs = np.asarray(pairs, dtype=np.float64)
+    parts = ["q,p\n"]
+    for i in range(0, len(pairs), _TEXT_CHUNK):
+        parts.append("".join(f"{q!r},{p!r}\n"
+                             for q, p in pairs[i:i + _TEXT_CHUNK].tolist()))
+    return "".join(parts)
 
 
 def pairs_to_json(pairs):

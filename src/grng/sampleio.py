@@ -42,6 +42,7 @@ FORMATS = ("csv", "json", "bin")
 _MODE_CODES = {"reference": 0, "pipeline": 1}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 _DTYPES = {"reference": "<f8", "pipeline": "<f4"}
+_TEXT_CHUNK = 1 << 16  # values formatted per write: bounds the Python floats alive
 
 
 class ParseError(ValueError):
@@ -63,8 +64,10 @@ def write_samples(path, values, mode, fmt):
         header = MAGIC + struct.pack("<IQ", _MODE_CODES[mode], values.size)
         path.write_bytes(header + values.astype(_dtype_for(mode)).tobytes())
     elif fmt == "csv":
-        lines = "\n".join(repr(float(v)) for v in values)
-        path.write_text(lines + ("\n" if values.size else ""))
+        with path.open("w") as out:
+            for i in range(0, values.size, _TEXT_CHUNK):
+                chunk = values[i:i + _TEXT_CHUNK].astype(np.float64, copy=False)
+                out.write("\n".join(map(repr, chunk.tolist())) + "\n")
     elif fmt == "json":
         doc = {"magic": MAGIC.decode(), "mode": mode, "count": int(values.size),
                "values": [float(v) for v in values]}
