@@ -571,8 +571,8 @@ class TestRunSuiteProperties:
             assert str(info.value) == first[1]
         else:
             got = run_suite(arr, suite=suite, bins=bins)
-            kwargs = {"bins": bins}
-            want = [self.SINGLE[name](xs, **(kwargs if name == "chi2" else {}))
+            want = [chi_square_gof(xs, bins=bins) if name == "chi2"
+                    else self.SINGLE[name](xs)
                     for name in ("chi2", "ad", "ks") if name in suite]
             assert [(r.test_name, r.statistic.hex(), r.p_value.hex(), r.rejected)
                     for r in got] == \
