@@ -69,9 +69,14 @@ def write_samples(path, values, mode, fmt):
                 chunk = values[i:i + _TEXT_CHUNK].astype(np.float64, copy=False)
                 out.write("\n".join(map(repr, chunk.tolist())) + "\n")
     elif fmt == "json":
-        doc = {"magic": MAGIC.decode(), "mode": mode, "count": int(values.size),
-               "values": [float(v) for v in values]}
-        path.write_text(json.dumps(doc))
+        head = json.dumps({"magic": MAGIC.decode(), "mode": mode,
+                           "count": int(values.size)})
+        with path.open("w") as out:
+            out.write(head[:-1] + ', "values": [')
+            for i in range(0, values.size, _TEXT_CHUNK):
+                chunk = values[i:i + _TEXT_CHUNK].astype(np.float64, copy=False)
+                out.write((", " if i else "") + json.dumps(chunk.tolist())[1:-1])
+            out.write("]}")
     else:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     return path
@@ -110,7 +115,8 @@ def read_samples(path, fmt=None):
         if len(data) - 16 != count * dtype.itemsize:
             raise ParseError(f"{path}: header claims {count} values, payload "
                              f"has {len(data) - 16} bytes")
-        return np.frombuffer(data, dtype, offset=16).astype(np.float64), mode
+        values = np.frombuffer(data, dtype, offset=16)
+        return values.astype(np.float64, copy=False), mode
     if fmt == "json":
         try:
             doc = json.loads(data)
@@ -127,9 +133,7 @@ def read_samples(path, fmt=None):
         return values, doc.get("mode")
     if fmt == "csv":
         try:
-            text = data.decode()
-            values = np.array([float(line) for line in text.split()
-                               if line.strip()], dtype=np.float64)
+            values = np.fromiter(map(float, data.decode().split()), np.float64)
         except ValueError as exc:
             raise ParseError(f"{path} is not a sample csv: {exc}") from exc
         return values, None

@@ -22,16 +22,17 @@ Luk (FPL 2006, FPL 2010).  Over GF(2) the next word W(s) and the register
 n clocks later S(s) are both linear in the register s, so each is the XOR
 of ceil(n/8) lookups in 256-entry tables indexed by the bytes of s.  The
 tables are built from the scalar `LfsrState.next_word` on the n basis
-registers, once per (order, taps), and cached read-only beside the
-primitivity verdict.  `LfsrState.words` cuts the stream into up to 4096
-contiguous segments (lanes), finds each lane's start by doubling with a
-byte-table multiply by x^(lane length * n * 2^k) mod f, and advances all
-lanes one table step per word.
+registers, once per (order, taps), and cached read-only beside the order
+of x mod f.  `LfsrState.words` cuts the stream into up to 4096 contiguous
+segments (lanes), finds each lane's start by doubling with a byte-table
+multiply by x^(lane length * n * 2^k) mod f, and advances all lanes one
+table step per word.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -66,8 +67,8 @@ class NonMaximalTapsWarning(UserWarning):
     """The configured polynomial is not primitive; period falls short of 2**n - 1."""
 
 
-# Distinct prime factors of 2**n - 1.  The primitivity test needs one
-# subgroup check per distinct prime, so multiplicities are irrelevant.
+# Distinct prime factors of 2**n - 1.  The order search divides each prime
+# out as often as it goes, so multiplicities are irrelevant.
 _MERSENNE_FACTORS = {
     2: (3,),
     3: (7,),
@@ -251,9 +252,8 @@ def _gf2_mulmod(a, b, f, n):
     return r
 
 
-def _gf2_pow_x(e, f, n):
-    """x**e modulo f over GF(2) by square-and-multiply."""
-    result = 1
+def _gf2_pow_x(e, f, n, result=1):
+    """result * x**e modulo f over GF(2) by square-and-multiply."""
     base = 2
     while e:
         if e & 1:
@@ -263,60 +263,57 @@ def _gf2_pow_x(e, f, n):
     return result
 
 
-def _order(n, taps, s):
-    """Least t dividing 2**n - 1 with s * x^t == s (mod taps), else None.
+#: 2 and every prime of 2**d - 1, d <= 64: all primes an order of x can
+#: have.  Largest first, so that later exponents are short.
+_ORDER_PRIMES = sorted({2}.union(*_MERSENNE_FACTORS.values()), reverse=True)
 
-    The t with s * x^t == s are the multiples of the orbit length of s, so
-    prime factors of 2**n - 1 are divided out while the congruence holds.
+
+def _orbit(n, taps, s, t):
+    """Orbit length of s under x mod taps, given that it divides t.
+
+    The t with s * x^t == s are its multiples, so primes are divided out
+    of t while the congruence holds.
     """
-    def fixed(t):
-        return _gf2_mulmod(s, _gf2_pow_x(t, taps, n), taps, n) == s
-
-    t = (1 << n) - 1
-    if not fixed(t):
-        return None
-    for p in _MERSENNE_FACTORS[n]:
-        while t % p == 0 and fixed(t // p):
+    for p in _ORDER_PRIMES:
+        while t % p == 0 and _gf2_pow_x(t // p, taps, n, s) == s:
             t //= p
     return t
+
+
+@functools.lru_cache(maxsize=64)
+def _x_order(n, taps):
+    """Order of x mod taps: the orbit length of the register 1.
+
+    It divides 2**n - 1 if taps is irreducible, and always divides
+    lcm(2**d - 1 : d <= n) * 2**ceil(log2 n), as taps has irreducible
+    factors of degree and multiplicity <= n (Lidl & Niederreiter, Finite
+    Fields, Thms 3.8 and 3.9).
+    """
+    t = (1 << n) - 1
+    if _gf2_pow_x(t, taps, n) != 1:
+        t = math.lcm(*((1 << d) - 1 for d in range(2, n + 1)))
+        t <<= (n - 1).bit_length()
+    return _orbit(n, taps, 1, t)
 
 
 def verify_primitive(config):
     """True iff the configured polynomial is primitive over GF(2).
 
-    That is, iff x has order exactly 2**n - 1 modulo it (`_order` of the
-    register 1), which also forces irreducibility.  The verdict is cached
-    per (order, taps).
+    That is, iff x has order exactly 2**n - 1 modulo it, which also forces
+    irreducibility.  The order is cached per (order, taps).
     """
-    return _is_primitive(config.order, config.taps)
+    return _x_order(config.order, config.taps) == (1 << config.order) - 1
 
 
-@functools.lru_cache(maxsize=64)
-def _is_primitive(n, taps):
-    return _order(n, taps, 1) == (1 << n) - 1
+def lfsr_period(config):
+    """Exact state period of the register: its seed's orbit length.
 
-
-def lfsr_period(config, limit=1 << 24):
-    """Exact state period of the register, or None if too costly to find.
-
-    The orbit s, s*x, s*x^2, ... mod f first returns to the seed s at the
-    least t with s * x^t == s, which can come sooner than the order of x
-    when s shares a factor with f.  A t dividing 2**n - 1 comes from
-    `_order`; otherwise the orbit is walked directly up to `limit` steps.
+    The orbit s, s*x, s*x^2, ... mod f first returns to s at the least t
+    with s * x^t == s: a divisor of the order of x, smaller when s shares
+    a factor with f.
     """
-    n = config.order
-    order = _order(n, config.taps, config.seed)
-    if order is not None:
-        return order
-    mask = (1 << n) - 1
-    f_low = config.taps & mask
-    s = start = config.seed
-    for t in range(1, limit + 1):
-        msb = s >> (n - 1)
-        s = ((s << 1) & mask) ^ (f_low if msb else 0)
-        if s == start:
-            return t
-    return None
+    n, taps = config.order, config.taps
+    return _orbit(n, taps, config.seed, _x_order(n, taps))
 
 
 @dataclass
@@ -481,14 +478,13 @@ def new_lfsr(config):
 
     The hardware design's published polynomial is honored even when the
     primitivity check fails, so a failing check degrades to a warning that
-    reports the actual period when it is cheap to determine.
+    reports the actual period of the seed.
     """
     if not verify_primitive(config):
-        period = lfsr_period(config, limit=1 << 20)
-        detail = f"actual state period {period}" if period else "period not determined"
         warnings.warn(
             f"taps {polynomial_str(config.taps)} are not primitive; "
-            f"maximal period 2^{config.order}-1 is not reached ({detail})",
+            f"maximal period 2^{config.order}-1 is not reached "
+            f"(actual state period {lfsr_period(config)})",
             NonMaximalTapsWarning,
             stacklevel=2,
         )

@@ -124,6 +124,27 @@ class TestSampleIo:
         values, mode = read_samples(path)
         assert values.tolist() == [1.0, 2.5] and mode is None
 
+    @pytest.mark.parametrize("mode, dtype", [("reference", np.float64),
+                                             ("pipeline", np.float32)])
+    @pytest.mark.parametrize("size", [0, 1, 2 ** 16, 2 ** 16 + 1])
+    def test_json_writer_matches_one_dumps(self, tmp_path, size, mode, dtype):
+        values = np.random.default_rng(size).standard_normal(size).astype(dtype)
+        # NaN and +-inf, two of them on either side of the chunk boundary
+        for i, v in zip((0, 2 ** 16 - 1, 2 ** 16), (np.nan, np.inf, -np.inf)):
+            if i < size:
+                values[i] = v
+        path = write_samples(tmp_path / "x.json", values, mode, "json")
+        doc = {"magic": "GRNG", "mode": mode, "count": size,
+               "values": [float(v) for v in values]}
+        assert path.read_text() == json.dumps(doc)
+
+    def test_reference_bin_read_does_not_copy(self, tmp_path):
+        path = write_samples(tmp_path / "x.bin", np.arange(5.0), "reference",
+                             "bin")
+        values, _ = read_samples(path)
+        assert not values.flags.owndata
+        assert values.dtype == np.float64 and values.tolist() == [0, 1, 2, 3, 4]
+
     @settings(max_examples=60, deadline=None)
     @given(fmt=st_.sampled_from(sampleio.FORMATS),
            mode=st_.sampled_from(["reference", "pipeline"]), data=st_.data())
@@ -301,6 +322,14 @@ class TestGen:
         with pytest.warns(urng.NonMaximalTapsWarning):
             assert run("gen", "--n", "16", "--seed", "3",
                        "--poly", "x^4+x^2+1", "--out", str(out)) == 0
+
+    def test_reducible_polynomial_warns_exact_period(self, tmp_path):
+        proc = run_child("gen", "--algo", "clt", "--poly",
+                         "x^32+x^8+x^5+x^2+x+1", "--n", "1", "--out",
+                         str(tmp_path / "x.bin"))
+        assert proc.returncode == 0
+        assert "actual state period" in proc.stderr
+        assert "not determined" not in proc.stderr
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"

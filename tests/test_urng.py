@@ -23,6 +23,7 @@ from grng.urng import (
 )
 
 PAPER_TAPS = parse_polynomial("x^32+x^8+x^5+x^2+1")
+PRIM16 = parse_polynomial("x^16+x^15+x^13+x^4+1")
 
 # one primitive polynomial per order: partial, exact and full-width bytes
 PRIMITIVE_BY_ORDER = {
@@ -83,6 +84,34 @@ def brute_force_period(taps, order, seed=1, limit=None):
         if s == seed:
             return t
     return None
+
+
+def clmul(a, b):
+    """Product of polynomials a * b over GF(2), unreduced."""
+    r = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            r ^= a << i
+    return r
+
+
+def gf2_mulmod(a, b, f):
+    """a * b modulo f over GF(2), reduced from the top bit down."""
+    r, n = clmul(a, b), f.bit_length() - 1
+    for i in range(r.bit_length() - 1, n - 1, -1):
+        if r >> i & 1:
+            r ^= f << (i - n)
+    return r
+
+
+def gf2_powmod(a, e, f):
+    """a ** e modulo f over GF(2), left-to-right square-and-multiply."""
+    r = 1
+    for bit in bin(e)[2:]:
+        r = gf2_mulmod(r, r, f)
+        if bit == "1":
+            r = gf2_mulmod(r, a, f)
+    return r
 
 
 class TestConfig:
@@ -371,6 +400,50 @@ class TestPrimitivity:
             for middle in range(2 ** (order - 1)):
                 taps = (1 << order) | (middle << 1) | 1
                 for seed in range(1, 2 ** order):
+                    cfg = LfsrConfig(order=order, taps=taps, seed=seed)
+                    assert lfsr_period(cfg) == \
+                        brute_force_period(taps, order, seed), \
+                        f"{polynomial_str(taps)}, seed {seed:#x}"
+
+    @pytest.mark.parametrize("poly, seeds", [
+        # the reducible taps of the old "period not determined" warning
+        ("x^32+x^8+x^5+x^2+x+1", (1, 2, 0xDEADBEEF, 2 ** 32 - 1)),
+        ("x^48+x^9+x^7+x^4+x+1", (1, 3, 2 ** 47 + 5, 2 ** 48 - 1)),
+        ("x^64+x^5+x^4+x^3+1", (1, 0x9E3779B97F4A7C15, 2 ** 64 - 1)),
+        ("x^64+x^63+x+1", (1, 2, 0x8000000000000001, 2 ** 64 - 1)),
+        # (x^32+x^8+x^5+x^2+1)^2: the repeated factor doubles the order, and
+        # the seed x^32+x^8+x^5+x^2+1 itself only sees the other copy
+        ("x^64+x^16+x^10+x^4+1", (1, 7, PAPER_TAPS)),
+        # (x^16+x^15+x^13+x^4+1)^3: a factor of multiplicity 3
+        (polynomial_str(clmul(clmul(PRIM16, PRIM16), PRIM16)),
+         (1, 5, PRIM16, 2 ** 48 - 1)),
+    ])
+    def test_lfsr_period_certified_at_large_orders(self, poly, seeds):
+        # t is the least period iff s * x^t == s and s * x^(t/p) != s for
+        # every prime p of t; the arithmetic here shares no code with urng
+        taps = parse_polynomial(poly)
+        order = taps.bit_length() - 1
+        primes = sorted({2}.union(*urng._MERSENNE_FACTORS.values()))
+        for seed in seeds:
+            t = lfsr_period(LfsrConfig(order=order, taps=taps, seed=seed))
+            assert gf2_mulmod(seed, gf2_powmod(2, t, taps), taps) == seed
+            rest = t
+            for p in (p for p in primes if t % p == 0):
+                while rest % p == 0:
+                    rest //= p
+                assert gf2_mulmod(seed, gf2_powmod(2, t // p, taps), taps) != seed, \
+                    f"{poly}, seed {seed:#x}: {t} is not the least period"
+            assert rest == 1, f"{t} has a prime outside the factor table"
+        if poly == "x^64+x^16+x^10+x^4+1":
+            assert lfsr_period(LfsrConfig(64, taps, 1)) == 2 * (2 ** 32 - 1)
+            assert lfsr_period(LfsrConfig(64, taps, PAPER_TAPS)) == 2 ** 32 - 1
+
+    def test_lfsr_period_matches_brute_force_orders_9_to_16(self):
+        rng = np.random.default_rng(2016)
+        for order in range(9, 17):
+            for middle in rng.integers(0, 2 ** (order - 1), size=4):
+                taps = (1 << order) | (int(middle) << 1) | 1
+                for seed in (1, *map(int, rng.integers(2, 2 ** order, size=2))):
                     cfg = LfsrConfig(order=order, taps=taps, seed=seed)
                     assert lfsr_period(cfg) == \
                         brute_force_period(taps, order, seed), \
