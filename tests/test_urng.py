@@ -392,6 +392,10 @@ class TestPrimitivity:
         cfg = LfsrConfig(order=4, taps=parse_polynomial("x^4+x^2+1"), seed=1)
         assert lfsr_period(cfg) == brute_force_period(cfg.taps, 4) == 6
         assert lfsr_period(primitive_config(16)) == 2 ** 16 - 1
+        # a repeated factor doubles the order of x
+        square = clmul(PAPER_TAPS, PAPER_TAPS)
+        assert lfsr_period(LfsrConfig(64, square, 1)) == 2 * (2 ** 32 - 1)
+        assert lfsr_period(LfsrConfig(64, square, PAPER_TAPS)) == 2 ** 32 - 1
 
     def test_lfsr_period_exhaustive_small_orders(self):
         # a seed sharing a factor with the polynomial can have a shorter
@@ -411,10 +415,9 @@ class TestPrimitivity:
         ("x^48+x^9+x^7+x^4+x+1", (1, 3, 2 ** 47 + 5, 2 ** 48 - 1)),
         ("x^64+x^5+x^4+x^3+1", (1, 0x9E3779B97F4A7C15, 2 ** 64 - 1)),
         ("x^64+x^63+x+1", (1, 2, 0x8000000000000001, 2 ** 64 - 1)),
-        # (x^32+x^8+x^5+x^2+1)^2: the repeated factor doubles the order, and
-        # the seed x^32+x^8+x^5+x^2+1 itself only sees the other copy
-        ("x^64+x^16+x^10+x^4+1", (1, 7, PAPER_TAPS)),
-        # (x^16+x^15+x^13+x^4+1)^3: a factor of multiplicity 3
+        # factors of multiplicity 2 and 3; a seed that is one copy of the
+        # factor only sees the others
+        (polynomial_str(clmul(PAPER_TAPS, PAPER_TAPS)), (1, 7, PAPER_TAPS)),
         (polynomial_str(clmul(clmul(PRIM16, PRIM16), PRIM16)),
          (1, 5, PRIM16, 2 ** 48 - 1)),
     ])
@@ -434,9 +437,6 @@ class TestPrimitivity:
                 assert gf2_mulmod(seed, gf2_powmod(2, t // p, taps), taps) != seed, \
                     f"{poly}, seed {seed:#x}: {t} is not the least period"
             assert rest == 1, f"{t} has a prime outside the factor table"
-        if poly == "x^64+x^16+x^10+x^4+1":
-            assert lfsr_period(LfsrConfig(64, taps, 1)) == 2 * (2 ** 32 - 1)
-            assert lfsr_period(LfsrConfig(64, taps, PAPER_TAPS)) == 2 ** 32 - 1
 
     def test_lfsr_period_matches_brute_force_orders_9_to_16(self):
         rng = np.random.default_rng(2016)
