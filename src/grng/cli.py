@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -126,6 +127,23 @@ def _shard_sizes(n, shards):
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
+def _warn_wrapped(sources, first):
+    """One stderr line per stream that drew more words than its period.
+
+    Word k starts at clock k * n, so the words repeat after p / gcd(p, n)
+    of them, p being the register's period; past that the output repeats.
+    """
+    for i, src in enumerate(sources, start=first):
+        n = src.config.order
+        period = urng.lfsr_period(src.config)
+        words = period // math.gcd(period, n)
+        drawn = src.steps_taken // n
+        if drawn > words:
+            print(f"warning: stream {i} (seed {src.config.seed:#x}) drew "
+                  f"{drawn} words, more than its period of {words}; "
+                  f"its output repeats", file=sys.stderr)
+
+
 def _generate(args, count):
     """Shard-major generation; returns (values, metadata dict)."""
     if count < 1:
@@ -157,6 +175,7 @@ def _generate(args, count):
         ]
         result = transforms.stream(args.algo, sources, size,
                                    mode=args.mode, clt=clt)
+        _warn_wrapped(sources, lo)
         pieces.append(result.values)
         consumed += result.uniforms_consumed
         proposed += result.pairs_proposed

@@ -18,15 +18,17 @@ polynomial has a constant term), so a nonzero seed never reaches it.  A
 packed word is therefore never 0.
 
 Bulk words use the state-transition-matrix "leap-forward" step of Thomas &
-Luk (FPL 2006, FPL 2010).  Over GF(2) the next word W(s) and the register
-n clocks later S(s) are both linear in the register s, so each is the XOR
-of ceil(n/8) lookups in 256-entry tables indexed by the bytes of s.  The
-tables are built from the scalar `LfsrState.next_word` on the n basis
-registers, once per (order, taps), and cached read-only beside the order
-of x mod f.  `LfsrState.words` cuts the stream into up to 4096 contiguous
-segments (lanes), finds each lane's start by doubling with a byte-table
-multiply by x^(lane length * n * 2^k) mod f, and advances all lanes one
-table step per word.
+Luk (FPL 2006, FPL 2010), widened to a block of K = 32 words.  Over GF(2)
+the next K words W_1(s) ... W_K(s) and the register K words later S_K(s)
+are all linear in the register s, so the row of these K + 1 values is the
+XOR of ceil(n/8) rows of 256-entry tables indexed by the bytes of s.  The
+tables (270 KB at order 32, 540 KB at order 64) are built once per
+(order, taps) from the n basis registers by K vectorized one-word steps,
+and cached read-only beside the order of x mod f.  `LfsrState.words` cuts
+the stream into up to 4096 contiguous lanes whose length is a multiple of
+K, finds each lane's start by doubling with a byte-table multiply by
+x^(lane length * n * 2^k) mod f, and advances every lane one block per
+lookup, writing its words straight into its row of the output.
 """
 
 from __future__ import annotations
@@ -313,7 +315,10 @@ def lfsr_period(config):
     a factor with f.
     """
     n, taps = config.order, config.taps
-    return _orbit(n, taps, config.seed, _x_order(n, taps))
+    t = _x_order(n, taps)
+    if t == (1 << n) - 1:  # primitive: every nonzero register is a unit
+        return t
+    return _orbit(n, taps, config.seed, t)
 
 
 @dataclass
@@ -382,28 +387,29 @@ class LfsrState:
         """Vectorized equivalent of `count` next_word() calls.
 
         The stream is cut into at most 4096 contiguous lanes of equal
-        length; all lanes advance together, one leap-forward table step
-        (the cached W and S tables of this tap mask) per word.
+        length, a multiple of _BLOCK words.  Each lane advances one block
+        per step: one lookup in the cached block tables of this tap mask
+        gives its next _BLOCK words, written straight into its row of the
+        output, and its register _BLOCK words later.  The register after
+        `count` words is the seed register times x^(count * n) mod f.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
         if count == 0:
             return np.empty(0, dtype=np.uint64)
-        n = self.config.order
-        per_lane = -(-count // _LANES)
+        n, taps = self.config.order, self.config.taps
+        per_lane = -(-count // (_LANES * _BLOCK)) * _BLOCK
         lanes = -(-count // per_lane)
-        last = count - (lanes - 1) * per_lane  # words in the last lane
         state = self._lane_starts(lanes, per_lane)
-        step = _word_tables(n, self.config.taps)
-        words = np.empty((per_lane, lanes), dtype=np.uint64)
-        for m in range(per_lane):
-            nxt = _lookup(step, state)
-            words[m] = nxt[:, 0]
-            state = nxt[:, 1]
-            if m + 1 == last:
-                self.register = int(state[-1])
+        block = _block_tables(n, taps)
+        words = np.empty((lanes, per_lane), dtype=np.uint64)
+        for m in range(0, per_lane, _BLOCK):
+            nxt = _lookup(block, state)
+            words[:, m:m + _BLOCK] = nxt[:, :_BLOCK]
+            state = nxt[:, _BLOCK]
+        self.register = _gf2_pow_x(count * n, taps, n, self.register)
         self.steps_taken += count * n
-        return words.T.reshape(-1)[:count]
+        return words.reshape(-1)[:count]
 
     def uniforms(self, count):
         """Vectorized equivalent of `count` next_uniform() values."""
@@ -417,6 +423,8 @@ class LfsrState:
 
 #: Lanes that `LfsrState.words` advances side by side.
 _LANES = 4096
+#: Words that one table lookup yields per lane in `LfsrState.words`.
+_BLOCK = 32
 
 
 def _byte_tables(images):
@@ -425,16 +433,17 @@ def _byte_tables(images):
     images[j] is the image of the register 1 << j (a uint64, or a row of
     them for several maps at once).  The result T is a read-only uint64
     array of shape (ceil(n/8), 256, ...) with T[b, v] the image of v << 8b,
-    so the map of s is the XOR over b of T[b, byte b of s].
+    so the map of s is the XOR over b of T[b, byte b of s].  Row v of a
+    byte table with top bit i is row v ^ (1 << i) XOR the image of bit i.
     """
     images = np.asarray(images, dtype=np.uint64)
     n, extra = len(images), images.shape[1:]
     basis = np.zeros((-(-n // 8) * 8, *extra), dtype=np.uint64)
     basis[:n] = images
-    basis = basis.reshape(-1, 1, 8, *extra)
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    bits = bits.reshape(1, 256, 8, *(1 for _ in extra))
-    tables = np.bitwise_xor.reduce(np.where(bits, basis, np.uint64(0)), axis=2)
+    basis = basis.reshape(-1, 8, *extra)
+    tables = np.zeros((len(basis), 256, *extra), dtype=np.uint64)
+    for i in range(8):
+        tables[:, 1 << i:2 << i] = tables[:, :1 << i] ^ basis[:, i:i + 1]
     tables.flags.writeable = False
     return tables
 
@@ -450,16 +459,29 @@ def _lookup(tables, regs):
 
 
 @functools.lru_cache(maxsize=64)
-def _word_tables(order, taps):
-    """Leap-forward tables of one word, built once per tap mask.
+def _block_tables(order, taps):
+    """Block leap-forward tables, built once per tap mask.
 
-    [..., 0] tabulates the next word W(s) and [..., 1] the register n
-    clocks later S(s), both read off the scalar register on the basis.
+    [..., k] tabulates word k + 1 of the register s for k < _BLOCK, and
+    [..., _BLOCK] the register _BLOCK words later.  The n basis registers
+    take one word of clocks side by side; the tables of that one-word step
+    then carry them _BLOCK words on.
     """
-    images = []
-    for j in range(order):
-        st = LfsrState(LfsrConfig(order=order, taps=taps, seed=1 << j))
-        images.append((st.next_word(), st.register))
+    f_low = np.uint64(taps & ((1 << order) - 1))
+    one, top = np.uint64(1), np.uint64(order - 1)
+    basis = one << np.arange(order, dtype=np.uint64)
+    regs, word = basis, np.zeros(order, dtype=np.uint64)
+    for _ in range(order):
+        msb = regs >> top
+        word = word << one | msb
+        regs = (regs ^ msb << top) << one ^ msb * f_low
+    step = _byte_tables(np.stack([word, regs], axis=1))
+    images = np.empty((order, _BLOCK + 1), dtype=np.uint64)
+    regs = basis
+    for k in range(_BLOCK):
+        nxt = _lookup(step, regs)
+        images[:, k], regs = nxt[:, 0], nxt[:, 1]
+    images[:, _BLOCK] = regs
     return _byte_tables(images)
 
 

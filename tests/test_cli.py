@@ -331,6 +331,26 @@ class TestGen:
         assert "actual state period" in proc.stderr
         assert "not determined" not in proc.stderr
 
+    def test_stream_past_its_period_warns(self, tmp_path, capsys):
+        """x^8+x^6+x^5+x^4+1 is primitive: each stream repeats after 255 words.
+
+        1000 box-muller samples draw 500 words from each of the two streams,
+        so both warn, the file still holds 1000 values and only 510 of them
+        differ; 100 samples draw 50 words and stay quiet.
+        """
+        out = tmp_path / "p.bin"
+        args = ("gen", "--algo", "box-muller", "--poly", "x^8+x^6+x^5+x^4+1",
+                "--seed", "3", "--out", str(out))
+        assert run(*args, "--n", "1000") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("warning: stream ") and "period of 255"
+                   in line for line in err)
+        values, _mode = read_samples(out)
+        assert values.size == 1000 and np.unique(values).size == 510
+        assert run(*args, "--n", "100") == 0
+        assert capsys.readouterr().err == ""
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         monkeypatch.setenv("GRNG_SEED", "77")

@@ -32,6 +32,7 @@ PRIMITIVE_BY_ORDER = {
     33: "x^33+x^13+1", 63: "x^63+x+1", 64: "x^64+x^4+x^3+x+1",
 }
 LANES = urng._LANES
+BLOCK = urng._BLOCK
 
 
 class BitOracle:
@@ -298,8 +299,9 @@ class TestBulk:
         assert a.register == b.register
         assert a.next_word() == b.next_word()
 
-    @pytest.mark.parametrize("count", [1, 2, LANES - 1, LANES, LANES + 1,
-                                       3 * LANES + 5])
+    @pytest.mark.parametrize("count", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1,
+                                       2 * BLOCK + 1, LANES - 1, LANES,
+                                       LANES + 1, 3 * LANES + 5])
     @pytest.mark.parametrize("order", sorted(PRIMITIVE_BY_ORDER))
     def test_words_equal_next_word_calls(self, order, count):
         cfg = LfsrConfig(order=order,
@@ -314,6 +316,46 @@ class TestBulk:
         assert a.register == b.register
         assert a.steps_taken == b.steps_taken
 
+    @pytest.mark.parametrize("count", [LANES * BLOCK - 1, LANES * BLOCK,
+                                       LANES * BLOCK + 1,
+                                       3 * LANES * BLOCK + 5])
+    @pytest.mark.parametrize("poly", [
+        "x^32+x^8+x^5+x^2+1", "x^64+x^4+x^3+x+1",
+        "x^33+x^13+x+1",  # reducible: x + 1 divides it
+    ])
+    def test_words_at_block_and_lane_boundaries(self, poly, count):
+        """Word k of words(count) is next_word() from seed * x^(k n) mod f.
+
+        Lanes hold whole blocks, so checking words b - 1 and b at every
+        multiple b of BLOCK covers every block and lane boundary.  The
+        registers at b - 1 are chained by one multiply by x^(BLOCK n).
+        """
+        taps = parse_polynomial(poly)
+        n = taps.bit_length() - 1
+        seed = 0x9E3779B97F4A7C15 & ((1 << n) - 1)
+        st = LfsrState(LfsrConfig(order=n, taps=taps, seed=seed))
+        bulk = st.words(count)
+        assert bulk.shape == (count,)
+
+        def oracle(reg):
+            return LfsrState(LfsrConfig(order=n, taps=taps, seed=reg))
+
+        def reg_at(k):
+            return urng._gf2_pow_x(k * n, taps, n, seed)
+
+        assert bulk[0] == oracle(seed).next_word()
+        leap = urng._gf2_pow_x(BLOCK * n, taps, n)
+        reg = reg_at(BLOCK - 1)
+        for b in range(BLOCK, count, BLOCK):
+            ref = oracle(reg)
+            assert [bulk[b - 1], bulk[b]] == [ref.next_word(), ref.next_word()]
+            reg = urng._gf2_mulmod(reg, leap, taps, n)
+        assert reg == reg_at(b + BLOCK - 1)
+        last = oracle(reg_at(count - 1))
+        assert bulk[-1] == last.next_word()
+        assert st.register == last.register
+        assert st.steps_taken == count * n
+
     @settings(deadline=None)
     @given(data=st_.data())
     def test_split_calls_equal_one_call(self, data):
@@ -321,8 +363,8 @@ class TestBulk:
         middle = data.draw(st_.integers(0, (1 << (order - 1)) - 1),
                            label="middle taps")
         seed = data.draw(st_.integers(1, (1 << order) - 1), label="seed")
-        first = data.draw(st_.integers(0, 2 * LANES + 3), label="a")
-        second = data.draw(st_.integers(0, 2 * LANES + 3), label="b")
+        first = data.draw(st_.integers(0, 2 * LANES * BLOCK + 3), label="a")
+        second = data.draw(st_.integers(0, 2 * LANES * BLOCK + 3), label="b")
         cfg = LfsrConfig(order=order, taps=(1 << order) | (middle << 1) | 1,
                          seed=seed)
         split, whole = LfsrState(cfg), LfsrState(cfg)
