@@ -391,7 +391,7 @@ class LfsrState:
         per step: one lookup in the cached block tables of this tap mask
         gives its next _BLOCK words, written straight into its row of the
         output, and its register _BLOCK words later.  The register after
-        `count` words is the seed register times x^(count * n) mod f.
+        `count` words is the starting register times x^(count * n) mod f.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
