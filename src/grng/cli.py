@@ -127,7 +127,7 @@ def _shard_sizes(n, shards):
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-def _warn_wrapped(sources, first):
+def _warn_past_period(sources, first):
     """One stderr line per stream that drew more words than its period.
 
     Word k starts at clock k * n, so the words repeat after p / gcd(p, n)
@@ -175,7 +175,7 @@ def _generate(args, count):
         ]
         result = transforms.stream(args.algo, sources, size,
                                    mode=args.mode, clt=clt)
-        _warn_wrapped(sources, lo)
+        _warn_past_period(sources, lo)
         pieces.append(result.values)
         consumed += result.uniforms_consumed
         proposed += result.pairs_proposed

@@ -307,12 +307,14 @@ def verify_primitive(config):
     return _x_order(config.order, config.taps) == (1 << config.order) - 1
 
 
+@functools.lru_cache(maxsize=256)
 def lfsr_period(config):
     """Exact state period of the register: its seed's orbit length.
 
     The orbit s, s*x, s*x^2, ... mod f first returns to s at the least t
     with s * x^t == s: a divisor of the order of x, smaller when s shares
-    a factor with f.
+    a factor with f.  Cached per config, as `new_lfsr` and the period
+    check of `gen` both ask for it.
     """
     n, taps = config.order, config.taps
     t = _x_order(n, taps)
