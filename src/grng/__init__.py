@@ -23,7 +23,7 @@ from .fp_pipeline import (
     expected_core_counts,
     run_graph,
 )
-from .qkdmod import ModulationConfig, QuadraturePair, quadrature_stream
+from .qkdmod import ModulationConfig, quadrature_stream
 from .stats import (
     Histogram,
     Moments,

@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -237,6 +238,10 @@ def _cmd_test(args):
     unknown = [s for s in suite if s not in ("chi2", "ad", "ks")]
     if unknown:
         raise _UsageError(f"unknown tests in --suite: {','.join(unknown)}")
+    if args.bins < 2:
+        raise _UsageError("--bins must be >= 2")
+    if not 0 < args.alpha < 1:
+        raise _UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
     values, _mode = sampleio.read_samples(args.input, fmt=args.format)
     reports = stats.run_suite(values, suite=suite, alpha=args.alpha,
                               bins=args.bins)
@@ -292,6 +297,8 @@ def _cmd_bench(args):
 def _cmd_quadrature(args):
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
+    if not args.variance > 0:
+        raise _UsageError(f"--variance must be > 0, got {args.variance}")
     gen_args = argparse.Namespace(**vars(args))
     gen_args.n = 2 * args.n
     values, meta = _generate(gen_args, 2 * args.n)
@@ -330,17 +337,28 @@ _DATA_ERRORS = (
 )
 
 
+def _one_line_warning(message, category, filename, lineno, line=None):
+    return f"warning: {message}\n"
+
+
 def main(argv=None):
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _DATA_EXIT
+    # one `warning:` line per notice and stream; the warnings state is
+    # restored on return, as tests and benchmarks call this in process
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", urng.NonMaximalTapsWarning)
+        fmt, warnings.formatwarning = warnings.formatwarning, _one_line_warning
+        try:
+            args = parser.parse_args(argv)
+            return _COMMANDS[args.command](args)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _USAGE_EXIT
+        except _DATA_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _DATA_EXIT
+        finally:
+            warnings.formatwarning = fmt
 
 
 if __name__ == "__main__":

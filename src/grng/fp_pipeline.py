@@ -305,7 +305,7 @@ for _name, _core_fn in _CORES.items():
     setattr(_Traced, _name, _traced_op(_name, _core_fn))
 
 
-def run_graph(algo, inputs, *, k=None, trace=None):
+def run_graph(algo, inputs, *, k=None):
     """Evaluate one architecture graph on binary32 inputs.
 
     Returns (outputs, trace).  Inputs: (u1, u2) for box-muller, disk
@@ -313,7 +313,7 @@ def run_graph(algo, inputs, *, k=None, trace=None):
     proposal returns no outputs and a trace holding only the two squaring
     multipliers and the adder that computed s.
     """
-    t = trace if trace is not None else PipelineTrace()
+    t = PipelineTrace()
     xs = [np.float32(v) for v in inputs]
     if algo not in transforms.ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")

@@ -22,7 +22,6 @@ _TEXT_CHUNK = 1 << 16  # pairs formatted at a time: bounds the Python floats ali
 
 __all__ = [
     "ModulationConfig",
-    "QuadraturePair",
     "SourceExhaustedError",
     "pairs_to_csv",
     "pairs_to_json",
@@ -32,12 +31,6 @@ __all__ = [
 
 class SourceExhaustedError(RuntimeError):
     """The Gaussian source yielded fewer values than the pairing needs."""
-
-
-@dataclass(frozen=True)
-class QuadraturePair:
-    q: float
-    p: float
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,13 @@ the next K words W_1(s) ... W_K(s) and the register K words later S_K(s)
 are all linear in the register s, so the row of these K + 1 values is the
 XOR of ceil(n/8) rows of 256-entry tables indexed by the bytes of s.  The
 tables (270 KB at order 32, 540 KB at order 64) are built once per
-(order, taps) from the n basis registers by K vectorized one-word steps,
-and cached read-only beside the order of x mod f.  `LfsrState.words` cuts
-the stream into up to 4096 contiguous lanes whose length is a multiple of
-K, finds each lane's start by doubling with a byte-table multiply by
-x^(lane length * n * 2^k) mod f, and advances every lane one block per
-lookup, writing its words straight into its row of the output.
+(order, taps) from one walk of `LfsrState.step`, (K + 1) * n clocks from
+the register 1, and cached read-only beside the order of x mod f.
+`LfsrState.words` cuts the stream into up to 4096 contiguous lanes of
+K * 2^m words.  The last column of the block tables, the multiply by
+x^(K * n) mod f, squared m times is the jump from one lane start to the
+next; doubling with it finds every start.  Each lane then advances one
+block per lookup, writing its words straight into its row of the output.
 """
 
 from __future__ import annotations
@@ -368,46 +369,48 @@ class LfsrState:
 
     # -- bulk generation ----------------------------------------------------
 
-    def _lane_starts(self, lanes, per_lane):
-        """Registers at words 0, per_lane, 2 * per_lane, ... of the stream.
+    def _lane_starts(self, lanes, jump):
+        """Registers at the starts of `lanes` equal lanes of the stream.
 
-        Doubling: the starts found so far, times c = x^(per_lane * n * 2^k)
-        mod f, are the next as many; the table of c^2 is that of c applied
-        to its own entries.
+        `jump` tabulates the multiply by x^(lane length * n).  Doubling: the
+        starts found so far, times it, are the next as many; the table of
+        its square is the table applied to its own entries.
         """
-        n, taps = self.config.order, self.config.taps
         starts = np.array([self.register], dtype=np.uint64)
-        if lanes > 1:
-            jump = _mul_tables(n, taps, _gf2_pow_x(per_lane * n, taps, n))
-            while starts.size < lanes:
-                more = _lookup(jump, starts[:lanes - starts.size])
-                starts = np.concatenate([starts, more])
-                jump = _lookup(jump, jump)
+        while starts.size < lanes:
+            more = _lookup(jump, starts[:lanes - starts.size])
+            starts = np.concatenate([starts, more])
+            jump = _lookup(jump, jump)
         return starts
 
     def words(self, count):
         """Vectorized equivalent of `count` next_word() calls.
 
-        The stream is cut into at most 4096 contiguous lanes of equal
-        length, a multiple of _BLOCK words.  Each lane advances one block
-        per step: one lookup in the cached block tables of this tap mask
-        gives its next _BLOCK words, written straight into its row of the
-        output, and its register _BLOCK words later.  The register after
-        `count` words is the starting register times x^(count * n) mod f.
+        The stream is cut into at most 4096 contiguous lanes of
+        _BLOCK * 2^m words, m the least that covers `count`; the jump
+        between lane starts is the x^(_BLOCK * n) column of the block
+        tables squared m times.  Each lane advances one block per lookup,
+        writing its words straight into its row of the output.  The
+        register after `count` words is the starting register times
+        x^(count * n) mod f.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
         if count == 0:
             return np.empty(0, dtype=np.uint64)
         n, taps = self.config.order, self.config.taps
-        per_lane = -(-count // (_LANES * _BLOCK)) * _BLOCK
-        lanes = -(-count // per_lane)
-        state = self._lane_starts(lanes, per_lane)
         block = _block_tables(n, taps)
+        m = (-(-count // (_LANES * _BLOCK)) - 1).bit_length()
+        per_lane = _BLOCK << m
+        lanes = -(-count // per_lane)
+        jump = block[..., _BLOCK]
+        for _ in range(m):
+            jump = _lookup(jump, jump)
+        state = self._lane_starts(lanes, jump)
         words = np.empty((lanes, per_lane), dtype=np.uint64)
-        for m in range(0, per_lane, _BLOCK):
+        for k in range(0, per_lane, _BLOCK):
             nxt = _lookup(block, state)
-            words[:, m:m + _BLOCK] = nxt[:, :_BLOCK]
+            words[:, k:k + _BLOCK] = nxt[:, :_BLOCK]
             state = nxt[:, _BLOCK]
         self.register = _gf2_pow_x(count * n, taps, n, self.register)
         self.steps_taken += count * n
@@ -430,20 +433,17 @@ _BLOCK = 32
 
 
 def _byte_tables(images):
-    """Byte lookup tables of a GF(2)-linear map on n-bit registers.
+    """Byte lookup tables of GF(2)-linear maps on n-bit registers.
 
-    images[j] is the image of the register 1 << j (a uint64, or a row of
-    them for several maps at once).  The result T is a read-only uint64
-    array of shape (ceil(n/8), 256, ...) with T[b, v] the image of v << 8b,
-    so the map of s is the XOR over b of T[b, byte b of s].  Row v of a
-    byte table with top bit i is row v ^ (1 << i) XOR the image of bit i.
+    images[j] is the row of images of the register 1 << j, one per map.
+    The result T is a read-only uint64 array of shape (ceil(n/8), 256, maps)
+    with T[b, v] the images of v << 8b, so the maps of s are the XOR over b
+    of T[b, byte b of s].  Row v of a byte table with top bit i is row
+    v ^ (1 << i) XOR the images of bit i.
     """
-    images = np.asarray(images, dtype=np.uint64)
-    n, extra = len(images), images.shape[1:]
-    basis = np.zeros((-(-n // 8) * 8, *extra), dtype=np.uint64)
-    basis[:n] = images
-    basis = basis.reshape(-1, 8, *extra)
-    tables = np.zeros((len(basis), 256, *extra), dtype=np.uint64)
+    n, maps = images.shape
+    basis = np.pad(images, ((0, -n % 8), (0, 0))).reshape(-1, 8, maps)
+    tables = np.zeros((len(basis), 256, maps), dtype=np.uint64)
     for i in range(8):
         tables[:, 1 << i:2 << i] = tables[:, :1 << i] ^ basis[:, i:i + 1]
     tables.flags.writeable = False
@@ -465,35 +465,20 @@ def _block_tables(order, taps):
     """Block leap-forward tables, built once per tap mask.
 
     [..., k] tabulates word k + 1 of the register s for k < _BLOCK, and
-    [..., _BLOCK] the register _BLOCK words later.  The n basis registers
-    take one word of clocks side by side; the tables of that one-word step
-    then carry them _BLOCK words on.
+    [..., _BLOCK] the register _BLOCK words later.  The basis register
+    1 << j is x^j, so its clock t is clock j + t of the register 1: one
+    walk of (_BLOCK + 1) * n clocks from 1 gives every image.
     """
-    f_low = np.uint64(taps & ((1 << order) - 1))
-    one, top = np.uint64(1), np.uint64(order - 1)
-    basis = one << np.arange(order, dtype=np.uint64)
-    regs, word = basis, np.zeros(order, dtype=np.uint64)
-    for _ in range(order):
-        msb = regs >> top
-        word = word << one | msb
-        regs = (regs ^ msb << top) << one ^ msb * f_low
-    step = _byte_tables(np.stack([word, regs], axis=1))
-    images = np.empty((order, _BLOCK + 1), dtype=np.uint64)
-    regs = basis
-    for k in range(_BLOCK):
-        nxt = _lookup(step, regs)
-        images[:, k], regs = nxt[:, 0], nxt[:, 1]
-    images[:, _BLOCK] = regs
-    return _byte_tables(images)
-
-
-def _mul_tables(order, taps, c):
-    """Tables of s -> s * c mod f: the scalar orbit c, c*x, c*x^2, ..."""
-    st = LfsrState(LfsrConfig(order=order, taps=taps, seed=c))
-    images = []
-    for _ in range(order):
-        images.append(st.register)
+    st = LfsrState(LfsrConfig(order=order, taps=taps, seed=1))
+    regs = np.empty((_BLOCK + 1) * order, dtype=np.uint64)
+    for t in range(len(regs)):
+        regs[t] = st.register
         st.step()
+    bits, span = regs >> np.uint64(order - 1), _BLOCK * order
+    words = np.zeros(span, dtype=np.uint64)
+    for i in range(order):  # word at clock t packs bits t .. t + n - 1
+        words = words << np.uint64(1) | bits[i:i + span]
+    images = np.column_stack([words.reshape(_BLOCK, order).T, regs[span:]])
     return _byte_tables(images)
 
 
@@ -508,7 +493,7 @@ def new_lfsr(config):
         warnings.warn(
             f"taps {polynomial_str(config.taps)} are not primitive; "
             f"maximal period 2^{config.order}-1 is not reached "
-            f"(actual state period {lfsr_period(config)})",
+            f"(seed {config.seed:#x}: actual state period {lfsr_period(config)})",
             NonMaximalTapsWarning,
             stacklevel=2,
         )

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,23 @@ class TestGen:
             assert run("gen", "--n", "16", "--seed", "3",
                        "--poly", "x^4+x^2+1", "--out", str(out)) == 0
 
+    def test_nonprimitive_notices_are_one_line_each(self, tmp_path):
+        proc = run_child("gen", "--poly", "x^4+x^2+1", "--n", "16",
+                         "--out", str(tmp_path / "w.bin"))
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        # one notice per stream: box-muller draws from two
+        assert sum("not primitive" in line for line in lines) == 2
+
+    def test_main_restores_warnings_state(self, tmp_path):
+        filters, fmt = list(warnings.filters), warnings.formatwarning
+        with pytest.warns(urng.NonMaximalTapsWarning):
+            assert run("gen", "--n", "16", "--poly", "x^4+x^2+1",
+                       "--out", str(tmp_path / "w.bin")) == 0
+        assert warnings.filters == filters
+        assert warnings.formatwarning is fmt
+
     def test_reducible_polynomial_warns_exact_period(self, tmp_path):
         proc = run_child("gen", "--algo", "clt", "--poly",
                          "x^32+x^8+x^5+x^2+x+1", "--n", "1", "--out",
@@ -435,6 +453,16 @@ class TestTestCommand:
 
     def test_unknown_suite_is_usage_error(self, sample_file):
         assert run("test", str(sample_file), "--suite", "chi2,cvm") == 1
+
+    @pytest.mark.parametrize("flag", [
+        ("--bins", "1"), ("--bins", "-2"), ("--alpha", "7"), ("--alpha", "1"),
+        ("--alpha", "0"), ("--alpha", "-0.5"), ("--alpha", "nan"),
+    ])
+    def test_bad_bins_or_alpha_is_one_line_usage_error(self, sample_file,
+                                                        capsys, flag):
+        capsys.readouterr()
+        assert run("test", str(sample_file), *flag) == 1
+        assert_one_line_error(capsys.readouterr().err)
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert run("test", str(tmp_path / "nope.bin")) == 2
@@ -571,6 +599,14 @@ class TestQuadratureCommand:
     def test_bin_format_is_usage_error(self, tmp_path):
         assert run("quadrature", "--n", "5", "--format", "bin",
                    "--out", str(tmp_path / "q.bin")) == 1
+
+    @pytest.mark.parametrize("variance", ["0", "-1", "nan"])
+    def test_bad_variance_is_one_line_usage_error(self, tmp_path, capsys,
+                                                  variance):
+        assert run("quadrature", "--n", "5", "--variance", variance,
+                   "--out", str(tmp_path / "q.csv")) == 1
+        assert_one_line_error(capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []  # neither file nor sidecar
 
     def test_zero_pairs_is_usage_error(self, tmp_path):
         assert run("quadrature", "--n", "0",
