@@ -297,8 +297,8 @@ def _cmd_bench(args):
 def _cmd_quadrature(args):
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
-    if not args.variance > 0:
-        raise _UsageError(f"--variance must be > 0, got {args.variance}")
+    if not 0 < args.variance < math.inf:
+        raise _UsageError(f"--variance must lie in (0, inf), got {args.variance}")
     gen_args = argparse.Namespace(**vars(args))
     gen_args.n = 2 * args.n
     values, meta = _generate(gen_args, 2 * args.n)

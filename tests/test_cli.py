@@ -600,7 +600,7 @@ class TestQuadratureCommand:
         assert run("quadrature", "--n", "5", "--format", "bin",
                    "--out", str(tmp_path / "q.bin")) == 1
 
-    @pytest.mark.parametrize("variance", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("variance", ["0", "-1", "nan", "inf"])
     def test_bad_variance_is_one_line_usage_error(self, tmp_path, capsys,
                                                   variance):
         assert run("quadrature", "--n", "5", "--variance", variance,
