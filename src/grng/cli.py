@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -48,16 +49,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _seed_default():
-    import os
+def _master_seed(args):
+    """--seed, else $GRNG_SEED, else 1; refused outside [0, 2**64).
 
-    env = os.environ.get("GRNG_SEED")
-    if not env:
-        return 1
-    try:
-        return int(env, 0)
-    except ValueError:
-        raise _UsageError(f"GRNG_SEED must be an integer, got {env!r}") from None
+    derive_seeds reads the seed modulo 2**64, so a wider value would write
+    the samples of another seed under its own name in the sidecar.
+    """
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("GRNG_SEED")
+        if not env:
+            return 1
+        try:
+            seed, source = int(env, 0), "GRNG_SEED"
+        except ValueError:
+            raise _UsageError(f"GRNG_SEED must be an integer, got {env!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise _UsageError(f"{source} must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def _add_gen_args(p):
@@ -153,7 +163,7 @@ def _generate(args, count):
         raise _UsageError("--k must be >= 2")
     if args.shards < 1:
         raise _UsageError("--shards must be >= 1")
-    seed = args.seed if args.seed is not None else _seed_default()
+    seed = _master_seed(args)
     taps, order = _lfsr_config_args(args)
     clt = transforms.CltConfig(k=args.k)
     streams_per_shard = clt.k if args.algo == "clt" else 2
@@ -272,6 +282,7 @@ def _cmd_hist(args):
 
 def _cmd_bench(args):
     algos = transforms.ALGORITHMS if args.all_algos else (args.algo,)
+    args.seed = _master_seed(args)  # a bad seed is refused before the header
     print(f"{'algorithm':<12} {'mode':<10} {'samples/s':>12} "
           f"{'uniforms/sample':>16}  core counts")
     for algo in algos:

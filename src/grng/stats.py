@@ -5,7 +5,8 @@ All tests are one-sample tests against the fully specified standard normal
 drawn from N(0, 1)":
 
 * chi-square goodness of fit over equal-probability bins (default 8, so 7
-  degrees of freedom); expected count per bin is N / bins.
+  degrees of freedom); expected count per bin is N / bins, so bins may
+  not exceed N.
 * Anderson-Darling, case 0 (known mean and variance), with the p-value
   taken from the asymptotic distribution of A^2; no small-sample
   modification factor is applied.
@@ -23,13 +24,21 @@ normal distribution is computed in one place.  KS reads the tail before
 AD reuses its buffer.  p-values are always numeric; values that
 underflow double precision render as "< 1e-300" in reports.
 
+The erfc pass is a numpy port of fdlibm's erfc (Cody's rational
+approximations, on pieces cut at 0.84375, 1.25, 1/0.35 and 28).  In the
+sorted copy |y| falls over the negatives and rises over the rest: two
+monotone runs, in which every piece is one contiguous slice found by
+searchsorted.  Each slice is worked in place, in fixed-size blocks with
+preallocated scratch, so the pass needs neither masks nor memory that
+grows with the sample beyond the tail itself.
+
 The normal quantile is the standard library's `statistics.NormalDist`
 (Wichura's AS241); the chi-square cut points take the lower half from it
 and mirror it.  The chi-square tail is the finite sum that integer degrees
 of freedom allow (no incomplete-gamma series or continued fraction), and
 the Kolmogorov series is summed directly, so the library needs nothing
-beyond numpy and the standard library; the test suite cross-checks both
-against extended-precision oracles.
+beyond numpy and the standard library; the test suite cross-checks erfc,
+both tails and every test against extended-precision oracles.
 """
 
 from __future__ import annotations
@@ -78,7 +87,7 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _STANDARD_NORMAL = NormalDist()
 _TESTS = ("chi2", "ad", "ks")
-_KS_BLOCK = 1 << 16
+_BLOCK = 1 << 16
 
 
 def normal_cdf(x):
@@ -86,26 +95,145 @@ def normal_cdf(x):
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _normal_tail(ys):
-    """Smaller tail t = Phi(-|y|) of each y, and log t: one erfc per element.
+# fdlibm s_erf.c (Sun, 1993; W. J. Cody's rational approximations): erfc of
+# x >= 0 on pieces 0 to 5, cut where x reaches each of _ERFC_CUTS (piece 5,
+# x >= 28, underflows).  Each tuple holds a polynomial's coefficients from
+# the constant term up.
+_ERFC_CUTS = np.array([0.25, 0.84375, 1.25, float.fromhex("0x1.6db6dp+1"), 28.0])
+_ERX = 8.45062911510467529297e-01
+_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01,
+       -2.84817495755985104766e-02, -5.77027029648944159157e-03,
+       -2.37630166566501626084e-05)
+_QQ = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
+       5.08130628187576562776e-03, 1.32494738004321644526e-04,
+       -3.96022827877536812320e-06)
+_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01,
+       -3.72207876035701323847e-01, 3.18346619901161753674e-01,
+       -1.10894694282396677476e-01, 3.54783043256182359371e-02,
+       -2.16637559486879084300e-03)
+_QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
+       7.18286544141962662868e-02, 1.26171219808761642112e-01,
+       1.36370839120290507362e-02, 1.19844998467991074170e-02)
+_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01,
+       -1.05586262253232909814e+01, -6.23753324503260060396e+01,
+       -1.62396669462573470355e+02, -1.84605092906711035994e+02,
+       -8.12874355063065934246e+01, -9.81432934416914548592e+00)
+_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
+       4.34565877475229228821e+02, 6.45387271733267880336e+02,
+       4.29008140027567833386e+02, 1.08635005541779435134e+02,
+       6.57024977031928170135e+00, -6.04244152148580987438e-02)
+_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01,
+       -1.77579549177547519889e+01, -1.60636384855821916062e+02,
+       -6.37566443368389627722e+02, -1.02509513161107724954e+03,
+       -4.83519191608651397019e+02)
+_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
+       1.53672958608443695994e+03, 3.19985821950859553908e+03,
+       2.55305040643316442583e+03, 4.74528541206955367215e+02,
+       -2.24409524465858183362e+01)
+_HIGH_WORD = np.uint64(0xFFFFFFFF00000000)
 
-    Takes over ys: |y| is formed in its buffer, which then holds log t.
-    From |y| = 36 on, where t nears underflow, log t comes from the
-    asymptotic series Phi(-a) ~ phi(a)/a * (1 - 1/a^2 + 3/a^4 - 15/a^6).
+
+def _poly(z, coefs, out):
+    """out = c0 + z*(c1 + z*(... + z*cn)), rounded as fdlibm's Horner form."""
+    np.multiply(z, coefs[-1], out=out)
+    for c in coefs[-2:0:-1]:
+        out += c
+        out *= z
+    out += coefs[0]
+    return out
+
+
+def _erfc_piece(piece, x, out, a, b, c):
+    """out = erfc(x) for x >= 0 in one fdlibm piece; a, b, c are scratch."""
+    if piece == 5:  # x >= 28: fdlibm's tiny*tiny underflows to 0
+        out.fill(0.0)
+    elif piece < 2:  # x < 0.84375: erfc = 1 - erf, erf(x) = x + x*P(x^2)/Q(x^2)
+        np.multiply(x, x, out=a)
+        y = _poly(a, _PP, b)
+        y /= _poly(a, _QQ, c)
+        y *= x
+        if piece == 0:
+            y += x
+            np.subtract(1.0, y, out=out)
+        else:
+            y += np.subtract(x, 0.5, out=a)
+            np.subtract(0.5, y, out=out)
+    elif piece == 2:  # erfc = (1 - erx) - P(x - 1)/Q(x - 1)
+        s = np.subtract(x, 1.0, out=a)
+        p = _poly(s, _PA, b)
+        p /= _poly(s, _QA, c)
+        np.subtract(1.0 - _ERX, p, out=out)
+    else:  # erfc = exp(-z*z - 0.5625) * exp((z - x)*(z + x) + R/S) / x
+        s = np.multiply(x, x, out=a)
+        np.divide(1.0, s, out=s)
+        r_s = _poly(s, _RA if piece == 3 else _RB, b)
+        r_s /= _poly(s, _SA if piece == 3 else _SB, c)
+        # z is x with the low 32 bits of its significand cleared
+        z = a
+        np.bitwise_and(x.view(np.uint64), _HIGH_WORD, out=z.view(np.uint64))
+        e = np.subtract(z, x, out=c)
+        e *= np.add(z, x, out=out)
+        e += r_s
+        np.exp(e, out=e)
+        head = np.multiply(z, z, out=b)
+        np.negative(head, out=head)
+        head -= 0.5625
+        np.exp(head, out=head)
+        head *= e
+        np.divide(head, x, out=out)
+
+
+def _erfc_sorted(v, out):
+    """out = erfc(|v|) for v sorted ascending; takes over v, leaving |v| in it.
+
+    |v| falls over the negatives and rises over the rest, so each fdlibm
+    piece is one contiguous slice on either side of zero, found by
+    searchsorted: no mask and no gather.  Slices are worked in blocks of
+    _BLOCK with preallocated scratch, so the extra memory stays bounded.
     """
-    a = np.abs(ys, out=ys)
-    far = a >= 36.0
-    a_far = a[far]
-    a /= _SQRT2
-    # a memoryview yields Python floats without a list or object array
-    t = np.fromiter(map(math.erfc, memoryview(a)), np.float64, count=a.size)
+    n = v.size
+    zero = int(np.searchsorted(v, 0.0))
+    below = np.searchsorted(v, -_ERFC_CUTS[::-1], side="right")
+    above = np.searchsorted(v, _ERFC_CUTS, side="left")
+    x = np.abs(v, out=v)
+    # slice i of the negatives holds piece 5 - i, slice i of the rest piece i
+    neg = [0, *below.tolist(), zero]
+    pos = [zero, *above.tolist(), n]
+    slices = [(5 - i, neg[i], neg[i + 1]) for i in range(6)]
+    slices += [(i, pos[i], pos[i + 1]) for i in range(6)]
+    scratch = [np.empty(min(n, _BLOCK)) for _ in range(3)]
+    for piece, lo, hi in slices:
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            _erfc_piece(piece, x[start:stop], out[start:stop],
+                        *(s[:stop - start] for s in scratch))
+    return out
+
+
+def _normal_tail(ys):
+    """Smaller tail t = Phi(-|y|) of each y, and log t, for ys sorted ascending.
+
+    t = erfc(|y| / sqrt 2) / 2, one `_erfc_sorted` pass over the sorted
+    sample.  Takes over ys: |y| / sqrt 2 is formed in its buffer, which
+    then holds log t.  From |y| = 36 on, where t nears underflow, log t
+    comes from the asymptotic series
+    Phi(-a) ~ phi(a)/a * (1 - 1/a^2 + 3/a^4 - 15/a^6).
+    """
+    # the far tails, |y| >= 36, taken before the buffer is overwritten
+    j_neg = int(np.searchsorted(ys, -36.0, side="right"))
+    j_pos = int(np.searchsorted(ys, 36.0, side="left"))
+    a_far = np.abs(np.concatenate((ys[:j_neg], ys[j_pos:])))
+    # (-y) / sqrt 2 == -(y / sqrt 2), so the quotients stay sorted
+    ys /= _SQRT2
+    t = _erfc_sorted(ys, np.empty(ys.size))
     t *= 0.5
     with np.errstate(divide="ignore"):
-        log_t = np.log(t, out=a)
+        log_t = np.log(t, out=ys)
     if a_far.size:
         z = a_far * a_far
         series = 1.0 - 1.0 / z + 3.0 / (z * z) - 15.0 / (z * z * z)
-        log_t[far] = -0.5 * z - _LOG_SQRT_2PI - np.log(a_far) + np.log(series)
+        log_far = -0.5 * z - _LOG_SQRT_2PI - np.log(a_far) + np.log(series)
+        log_t[:j_neg], log_t[j_pos:] = np.split(log_far, [j_neg])
     return t, log_t
 
 
@@ -274,8 +402,8 @@ def _ks(t, upper, alpha):
     n = t.size
     d = 0.0
     # in blocks, so the scratch arrays stay small; D is the largest over all
-    for lo in range(0, n, _KS_BLOCK):
-        hi = lo + _KS_BLOCK
+    for lo in range(0, n, _BLOCK):
+        hi = lo + _BLOCK
         # Phi(y) = t up to the median, 1 - t above it
         cdf = t[lo:hi].copy()
         np.subtract(1.0, cdf, out=cdf, where=upper[lo:hi])
@@ -376,6 +504,9 @@ def run_suite(samples, suite=("chi2", "ad", "ks"), alpha=0.05, bins=8):
             raise InsufficientSampleError(f"chi-square needs >= 50 samples, got {n}")
         if bins < 2:
             raise ValueError(f"bins must be >= 2, got {bins}")
+        if bins > n:
+            raise InsufficientSampleError(
+                f"chi-square with {bins} bins needs >= {bins} samples, got {n}")
     if "ad" in wanted and n < 8:
         raise InsufficientSampleError(f"Anderson-Darling needs >= 8 samples, got {n}")
     if "ks" in wanted and n < 1:

@@ -516,10 +516,14 @@ def splitmix64(state):
 
 
 def derive_seeds(master_seed, count, order):
-    """Expand a 64-bit master seed into `count` distinct nonzero LFSR seeds.
+    """Expand a master seed (read modulo 2**64) into `count` nonzero LFSR seeds.
 
     Successive splitmix64 outputs are truncated to `order` bits; zero maps
-    to 1 and collisions are skipped, so the derived streams never coincide.
+    to 1 and repeats are skipped, so the starting registers are distinct.
+    The streams themselves are not disjoint: with primitive taps every
+    nonzero register lies on one m-sequence of 2**order - 1 states, so each
+    stream is another shifted by some number of clocks, and two streams
+    share states once one draws more clocks than that shift.
     Raises ValueError when `count` exceeds the 2**order - 1 nonzero seeds.
     """
     mask = (1 << order) - 1

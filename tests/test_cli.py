@@ -409,6 +409,43 @@ class TestGen:
         assert run("gen", "--n", "10", "--out", str(tmp_path / "x.bin")) == 1
         assert_one_line_error(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("seed", ["0x10000000000000005", str(1 << 64),
+                                      "-3", "-0x1"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_seed_outside_64_bits_is_usage_error(self, tmp_path, monkeypatch,
+                                                 capsys, seed, source):
+        # derive_seeds reads the seed modulo 2^64: 2^64 + 5 would write the
+        # samples of seed 5 under its own name
+        out = tmp_path / "x.bin"
+        argv = ["gen", "--n", "10", "--out", str(out)]
+        if source == "flag":
+            argv.append(f"--seed={seed}")
+        else:
+            monkeypatch.setenv("GRNG_SEED", seed)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert ("--seed" if source == "flag" else "GRNG_SEED") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["quadrature", "bench"])
+    def test_every_generating_command_checks_the_seed(self, tmp_path, capsys,
+                                                      command):
+        argv = [command, "--n", "10", "--seed", str(1 << 64)]
+        if command == "quadrature":
+            argv += ["--out", str(tmp_path / "q.csv")]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert_one_line_error(captured.err)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    def test_seed_range_ends_accepted(self, tmp_path, seed):
+        out = tmp_path / "x.bin"
+        assert run("gen", "--n", "10", "--seed", hex(seed),
+                   "--out", str(out)) == 0
+        assert read_sidecar(out)["master_seed"] == seed
+
 
 class TestTestCommand:
     @pytest.fixture()
@@ -463,6 +500,20 @@ class TestTestCommand:
         capsys.readouterr()
         assert run("test", str(sample_file), *flag) == 1
         assert_one_line_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("bins", ["20001", "10000000000"])
+    def test_more_bins_than_samples_is_one_line_data_error(self, sample_file,
+                                                           bins):
+        # in a child, so that a loop over 5 x 10^9 quantiles fails by timeout
+        proc = run_child("test", str(sample_file), "--bins", bins)
+        assert proc.returncode == 2
+        assert_one_line_error(proc.stderr)
+        assert proc.stdout == ""
+
+    def test_bins_up_to_sample_count_accepted(self, sample_file, capsys):
+        assert run("test", str(sample_file), "--bins", "20000") == 0
+        assert run("test", str(sample_file), "--suite", "ad,ks",
+                   "--bins", "10000000000") == 0
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert run("test", str(tmp_path / "nope.bin")) == 2

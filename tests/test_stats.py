@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
-from mpmath import mp, mpf, ncdf
+from mpmath import erfc as merfc, mp, mpf, ncdf
 from mpmath import exp as mexp, log as mlog, sqrt as msqrt
 
 import _fixtures
@@ -70,6 +70,80 @@ class TestNormalCdf:
         xs = np.linspace(-10, 10, 2001)
         vals = [normal_cdf(float(x)) for x in xs]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+def ulp_gap(a, b):
+    """Distance in units in the last place between nonnegative doubles."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+# fdlibm's erfc cut points, each with its neighbours one ulp away
+_CUT_NEIGHBOURS = [math.nextafter(c, d) for c in stats._ERFC_CUTS
+                   for d in (0.0, c, math.inf)]
+
+
+class TestErfc:
+    """`_erfc_sorted`, the numpy port of fdlibm's erfc, against mpmath."""
+
+    @staticmethod
+    def _ulp_errors(xs):
+        x = np.sort(np.asarray(xs, dtype=np.float64))
+        got = stats._erfc_sorted(x.copy(), np.empty(x.size))
+        want = [merfc(mpf(float(v))) for v in x]
+        return [abs(mpf(float(g)) - w) / math.ulp(float(w))
+                for g, w in zip(got, want)]
+
+    def test_special_points_and_cuts(self):
+        xs = [0.0, math.ulp(0.0)] + _CUT_NEIGHBOURS
+        assert max(self._ulp_errors(xs)) <= 4
+
+    def test_spread_over_normal_range(self):
+        # erfc stays a normal double up to about 26.5
+        rng = np.random.default_rng(11)
+        xs = np.concatenate((np.linspace(0.0, 26.5, 1501),
+                             rng.uniform(0.0, 26.5, 1500)))
+        assert max(self._ulp_errors(xs)) <= 4
+
+    def test_negatives_read_as_their_magnitude(self):
+        half = np.linspace(0.0, 30.0, 3001)
+        x = np.concatenate((-half[::-1], half))
+        got = stats._erfc_sorted(x.copy(), np.empty(x.size))
+        assert np.array_equal(got, got[::-1])
+        assert np.array_equal(got[3001:], stats._erfc_sorted(
+            half.copy(), np.empty(half.size)))
+
+
+_TAIL_CUTS = [s * c * math.sqrt(2.0) for c in _CUT_NEIGHBOURS
+              for s in (1.0, -1.0)] + [36.0, -36.0, 0.0, -0.0]
+_TAIL_VALUES = st_.one_of(st_.floats(-45.0, 45.0), st_.sampled_from(_TAIL_CUTS))
+
+
+class TestNormalTail:
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st_.one_of(
+        st_.lists(_TAIL_VALUES, min_size=1, max_size=60),
+        st_.lists(_TAIL_VALUES.map(abs), min_size=1, max_size=30),
+        st_.lists(_TAIL_VALUES.map(lambda v: -abs(v)), min_size=1,
+                  max_size=30)))
+    @example(xs=[0.0])
+    @example(xs=[-0.0])
+    @example(xs=[-0.0, 0.0, -0.0])
+    @example(xs=[-3.0, -1.0, -0.5])
+    @example(xs=[0.5, 1.0, 3.0])
+    @example(xs=_TAIL_CUTS)
+    def test_matches_scalar_erfc(self, xs):
+        ys = np.sort(np.array(xs, dtype=np.float64))
+        t, log_t = stats._normal_tail(ys.copy())
+        want = [0.5 * math.erfc(abs(y) / math.sqrt(2.0)) for y in ys]
+        # the port and glibc's erfc (math.erfc on Linux) each err by up to
+        # 2.4 and 3.5 ulp against mpmath on [0.84375, 1.25), so they may lie
+        # 5 ulp apart; 4 ulp is the bound against the oracle above
+        assert ulp_gap(t, want).max() <= 6
+        near = np.abs(ys) < 36.0
+        assert np.array_equal(log_t[near], np.log(t[near]))
+        assert np.isfinite(log_t).all()
 
 
 class TestNormalPpf:
@@ -284,6 +358,19 @@ class TestChiSquare:
     def test_insufficient_sample(self):
         with pytest.raises(InsufficientSampleError):
             chi_square_gof([0.1] * 49)
+
+    def test_more_bins_than_samples_refused_before_the_cuts(self):
+        xs = [normal_ppf(u) for u in fixed_uniforms(60, 31)]
+        assert chi_square_gof(xs, bins=60).statistic >= 0.0
+        # 10^10 bins would take 5 x 10^9 quantiles; the size check comes first
+        for bins in (61, 10 ** 10):
+            with pytest.raises(InsufficientSampleError,
+                               match=f"{bins} bins needs >= {bins} samples, got 60"):
+                run_suite(xs, bins=bins)
+        assert len(run_suite(xs, suite=("ad", "ks"), bins=10 ** 10)) == 2
+        # the sample-count check of chi2 comes first, as in canonical order
+        with pytest.raises(InsufficientSampleError, match="needs >= 50 samples"):
+            chi_square_gof(xs[:10], bins=10 ** 10)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteSampleError):
