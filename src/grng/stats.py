@@ -223,7 +223,8 @@ def _normal_tail(ys):
     j_neg = int(np.searchsorted(ys, -36.0, side="right"))
     j_pos = int(np.searchsorted(ys, 36.0, side="left"))
     a_far = np.abs(np.concatenate((ys[:j_neg], ys[j_pos:])))
-    # (-y) / sqrt 2 == -(y / sqrt 2), so the quotients stay sorted
+    # rounded division by sqrt 2 is monotone and odd: the quotients stay
+    # sorted, and |y / sqrt 2| == |y| / sqrt 2
     ys /= _SQRT2
     t = _erfc_sorted(ys, np.empty(ys.size))
     t *= 0.5
