@@ -16,7 +16,10 @@ every output byte except bench timing fields.  Generation can shard into
 `--shards` worker streams with distinct derived seeds; output is
 shard-major and deterministic given (seed, shard count).
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error.  Every error is one
+`error:` line on stderr.  `--k` is at most 2**16, and a request whose
+samples or histogram bins alone exceed the machine's physical memory is a
+usage error before any work.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ __all__ = ["main"]
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
+#: Largest --k.  Each shard derives k seeds in a Python splitmix64 loop, so
+#: a k of 10^9 would run for hours before the first sample.
+_MAX_K = 1 << 16
 
 
 class _UsageError(Exception):
@@ -45,8 +51,19 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _check_memory(what, nbytes):
+    """Refuse a request whose arrays alone exceed physical memory.
+
+    Such a request can only end in an allocation error or the kernel's
+    out-of-memory killer, so it is refused before any work.
+    """
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > total:
+        raise _UsageError(f"{what} need {nbytes / 2**30:.3g} GiB, more than "
+                          f"the {total / 2**30:.3g} GiB of memory")
 
 
 def _master_seed(args):
@@ -159,8 +176,12 @@ def _generate(args, count):
     """Shard-major generation; returns (values, metadata dict)."""
     if count < 1:
         raise _UsageError("--n must be >= 1")
+    # every mode holds at least 8 bytes per sample
+    _check_memory(f"{count} samples", 8 * count)
     if args.k < 2:
         raise _UsageError("--k must be >= 2")
+    if args.k > _MAX_K:
+        raise _UsageError(f"--k must be <= {_MAX_K}, got {args.k}")
     if args.shards < 1:
         raise _UsageError("--shards must be >= 1")
     seed = _master_seed(args)
@@ -269,6 +290,8 @@ def _cmd_test(args):
 def _cmd_hist(args):
     if args.bins < 1:
         raise _UsageError("--bins must be >= 1")
+    # float64 edges and int64 counts
+    _check_memory(f"{args.bins} bins", 16 * args.bins)
     values, _mode = sampleio.read_samples(args.input, fmt=args.format)
     hist = stats.build_histogram(values, bins=args.bins)
     csv = hist.to_csv()
@@ -364,6 +387,9 @@ def main(argv=None):
             return _COMMANDS[args.command](args)
         except _UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return _USAGE_EXIT
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}", file=sys.stderr)
             return _USAGE_EXIT
         except _DATA_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -273,8 +273,7 @@ def evaluate(ev, algo, sources, count, clt):
             # under-propose slightly (acceptance rate is pi/4 ~ 0.785) so the
             # final top-up blocks stay small and consumption stays near 4/pi
             passes = max(256, int(passes / 0.80) + 1)
-        inputs = (src.uniforms(passes).astype(ev.dtype, copy=False)
-                  for src in sources)
+        inputs = (src.uniforms(passes, ev.dtype) for src in sources)
         if algo == "polar":
             inputs = [two * u - one for u in inputs]
         chunks.append(np.stack(graph(ev, inputs), axis=1).reshape(-1))

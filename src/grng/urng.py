@@ -21,15 +21,18 @@ Bulk words use the state-transition-matrix "leap-forward" step of Thomas &
 Luk (FPL 2006, FPL 2010), widened to a block of K = 32 words.  Over GF(2)
 the next K words W_1(s) ... W_K(s) and the register K words later S_K(s)
 are all linear in the register s, so the row of these K + 1 values is the
-XOR of ceil(n/8) rows of 256-entry tables indexed by the bytes of s.  The
-tables (270 KB at order 32, 540 KB at order 64) are built once per
-(order, taps) from one walk of `LfsrState.step`, (K + 1) * n clocks from
-the register 1, and cached read-only beside the order of x mod f.
-`LfsrState.words` cuts the stream into up to 4096 contiguous lanes of
-K * 2^m words.  The last column of the block tables, the multiply by
-x^(K * n) mod f, squared m times is the jump from one lane start to the
-next; doubling with it finds every start.  Each lane then advances one
-block per lookup, writing its words straight into its row of the output.
+XOR of ceil(n/8) rows of 256-entry tables indexed by the bytes of s.
+Table entries and words are the narrowest unsigned type that holds n bits:
+uint32 up to order 32 (tables of 135 KB at order 32), uint64 above (540 KB
+at order 64).  The tables are built once per (order, taps) from one walk
+of `LfsrState.step`, (K + 1) * n clocks from the register 1, and cached
+read-only beside the order of x mod f.  `LfsrState.words` cuts the stream
+into up to 4096 contiguous lanes of K * 2^m words.  The last column of the
+block tables, the multiply by x^(K * n) mod f, squared m times is the jump
+from one lane start to the next; doubling with it finds every start, and
+the jumps of each (order, taps, m) are cached too.  Each lane then
+advances one block per lookup, writing its words straight into its row of
+the output.
 """
 
 from __future__ import annotations
@@ -369,45 +372,43 @@ class LfsrState:
 
     # -- bulk generation ----------------------------------------------------
 
-    def _lane_starts(self, lanes, jump):
+    def _lane_starts(self, lanes, jumps):
         """Registers at the starts of `lanes` equal lanes of the stream.
 
-        `jump` tabulates the multiply by x^(lane length * n).  Doubling: the
-        starts found so far, times it, are the next as many; the table of
-        its square is the table applied to its own entries.
+        jumps[i] tabulates the multiply by x^(2^i lane lengths * n).
+        Doubling: the starts found so far, times jumps[i], are the next as
+        many.
         """
-        starts = np.array([self.register], dtype=np.uint64)
-        while starts.size < lanes:
+        starts = np.array([self.register], dtype=jumps[0].dtype)
+        for jump in jumps:
+            if starts.size >= lanes:
+                break
             more = _lookup(jump, starts[:lanes - starts.size])
             starts = np.concatenate([starts, more])
-            jump = _lookup(jump, jump)
         return starts
 
     def words(self, count):
         """Vectorized equivalent of `count` next_word() calls.
 
-        The stream is cut into at most 4096 contiguous lanes of
-        _BLOCK * 2^m words, m the least that covers `count`; the jump
-        between lane starts is the x^(_BLOCK * n) column of the block
-        tables squared m times.  Each lane advances one block per lookup,
-        writing its words straight into its row of the output.  The
-        register after `count` words is the starting register times
-        x^(count * n) mod f.
+        The words are uint32 up to order 32 and uint64 above.  The stream
+        is cut into at most 4096 contiguous lanes of _BLOCK * 2^m words, m
+        the least that covers `count`; the jump between lane starts is the
+        x^(_BLOCK * n) column of the block tables squared m times.  Each
+        lane advances one block per lookup, writing its words straight into
+        its row of the output.  The register after `count` words is the
+        starting register times x^(count * n) mod f.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
-        if count == 0:
-            return np.empty(0, dtype=np.uint64)
         n, taps = self.config.order, self.config.taps
+        if count == 0:
+            return np.empty(0, dtype=_word_dtype(n))
         block = _block_tables(n, taps)
         m = (-(-count // (_LANES * _BLOCK)) - 1).bit_length()
         per_lane = _BLOCK << m
         lanes = -(-count // per_lane)
-        jump = block[..., _BLOCK]
-        for _ in range(m):
-            jump = _lookup(jump, jump)
-        state = self._lane_starts(lanes, jump)
-        words = np.empty((lanes, per_lane), dtype=np.uint64)
+        state = self._lane_starts(lanes, _lane_jumps(n, taps, m))
+        words = np.empty((lanes, per_lane), dtype=block.dtype)
         for k in range(0, per_lane, _BLOCK):
             nxt = _lookup(block, state)
             words[:, k:k + _BLOCK] = nxt[:, :_BLOCK]
@@ -416,14 +417,34 @@ class LfsrState:
         self.steps_taken += count * n
         return words.reshape(-1)[:count]
 
-    def uniforms(self, count):
-        """Vectorized equivalent of `count` next_uniform() values."""
-        n = self.config.order
-        vals = self.words(count).astype(np.float64)
-        vals *= 2.0 ** -n
-        if n > 53:
-            np.minimum(vals, np.nextafter(1.0, 0.0), out=vals)
+    def uniforms(self, count, dtype=np.float64):
+        """Vectorized equivalent of `count` next_uniform() values, as dtype.
+
+        Binary32 values are `fp_pipeline.uniform_to_f32` of the words.
+        """
+        return _word_uniforms(self.words(count), self.config.order, dtype)
+
+
+def _word_uniforms(words, n, dtype):
+    """n-bit words as word / 2**n, rounded once to dtype (float64 or float32).
+
+    A word of at most 32 bits goes straight to float32: the cast rounds it
+    once and the power-of-two scale is exact.  Wider words take the float64
+    path and then round to float32, as `fp_pipeline.uniform_to_f32` does; a
+    direct uint64 cast would round differently where the float64 step ties
+    (at order 64, 2^63 + 2^39 + 1 is 0x1p-1 one way, 0x1.000002p-1 the other).
+    Above order 53 float64 rounding can reach 1.0, so values are capped at
+    the largest float64 below 1, as in `next_uniform`.
+    """
+    if n <= 32 and dtype == np.float32:
+        vals = words.astype(np.float32)
+        vals *= np.float32(2.0 ** -n)
         return vals
+    vals = words.astype(np.float64)
+    vals *= 2.0 ** -n
+    if n > 53:
+        np.minimum(vals, np.nextafter(1.0, 0.0), out=vals)
+    return vals.astype(dtype, copy=False)
 
 
 #: Lanes that `LfsrState.words` advances side by side.
@@ -432,18 +453,25 @@ _LANES = 4096
 _BLOCK = 32
 
 
+def _word_dtype(order):
+    """Narrowest unsigned type that holds an order-bit register or word."""
+    return np.uint32 if order <= 32 else np.uint64
+
+
 def _byte_tables(images):
     """Byte lookup tables of GF(2)-linear maps on n-bit registers.
 
     images[j] is the row of images of the register 1 << j, one per map.
-    The result T is a read-only uint64 array of shape (ceil(n/8), 256, maps)
-    with T[b, v] the images of v << 8b, so the maps of s are the XOR over b
-    of T[b, byte b of s].  Row v of a byte table with top bit i is row
-    v ^ (1 << i) XOR the images of bit i.
+    The result T is a read-only array of images' dtype and of shape
+    (ceil(n/8), 256, maps) with T[b, v] the images of v << 8b, so the maps
+    of s are the XOR over b of T[b, byte b of s].  Row v of a byte table
+    with top bit i is row v ^ (1 << i) XOR the images of bit i.  For the
+    block tables that is 135 KB at order 32 (uint32) and 540 KB at order
+    64 (uint64).
     """
     n, maps = images.shape
     basis = np.pad(images, ((0, -n % 8), (0, 0))).reshape(-1, 8, maps)
-    tables = np.zeros((len(basis), 256, maps), dtype=np.uint64)
+    tables = np.zeros((len(basis), 256, maps), dtype=images.dtype)
     for i in range(8):
         tables[:, 1 << i:2 << i] = tables[:, :1 << i] ^ basis[:, i:i + 1]
     tables.flags.writeable = False
@@ -452,8 +480,9 @@ def _byte_tables(images):
 
 def _lookup(tables, regs):
     """The map tabulated by `_byte_tables`, applied to an array of registers."""
-    octets = np.ascontiguousarray(regs, dtype="<u8").view(np.uint8)
-    octets = octets.reshape(*np.shape(regs), 8)
+    word = tables.dtype.newbyteorder("<")
+    octets = np.ascontiguousarray(regs, dtype=word).view(np.uint8)
+    octets = octets.reshape(*np.shape(regs), word.itemsize)
     out = tables[0].take(octets[..., 0], axis=0)
     for b in range(1, len(tables)):
         out ^= tables[b].take(octets[..., b], axis=0)
@@ -469,17 +498,39 @@ def _block_tables(order, taps):
     1 << j is x^j, so its clock t is clock j + t of the register 1: one
     walk of (_BLOCK + 1) * n clocks from 1 gives every image.
     """
+    dtype = _word_dtype(order)
     st = LfsrState(LfsrConfig(order=order, taps=taps, seed=1))
-    regs = np.empty((_BLOCK + 1) * order, dtype=np.uint64)
+    regs = np.empty((_BLOCK + 1) * order, dtype=dtype)
     for t in range(len(regs)):
         regs[t] = st.register
         st.step()
-    bits, span = regs >> np.uint64(order - 1), _BLOCK * order
-    words = np.zeros(span, dtype=np.uint64)
+    bits, span = regs >> dtype(order - 1), _BLOCK * order
+    words = np.zeros(span, dtype=dtype)
     for i in range(order):  # word at clock t packs bits t .. t + n - 1
-        words = words << np.uint64(1) | bits[i:i + span]
+        words = words << dtype(1) | bits[i:i + span]
     images = np.column_stack([words.reshape(_BLOCK, order).T, regs[span:]])
     return _byte_tables(images)
+
+
+@functools.lru_cache(maxsize=64)
+def _lane_jumps(order, taps, m):
+    """Jumps between the lane starts of `LfsrState.words`, per lane length.
+
+    Entry i tabulates the multiply by x^(_BLOCK * 2^(m + i) * n): the last
+    column of the block tables squared m + i times (the table of a square
+    is the table applied to its own entries).  There are as many entries
+    as doublings reach _LANES lanes, so the streams of one (order, taps)
+    and lane length share them.
+    """
+    jump = _block_tables(order, taps)[..., _BLOCK]
+    for _ in range(m):
+        jump = _lookup(jump, jump)
+    jumps = [jump]
+    while len(jumps) < (_LANES - 1).bit_length():
+        jumps.append(_lookup(jumps[-1], jumps[-1]))
+    for j in jumps:
+        j.flags.writeable = False
+    return tuple(jumps)
 
 
 def new_lfsr(config):

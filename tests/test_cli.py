@@ -377,12 +377,46 @@ class TestGen:
         run("gen", "--n", "100", "--seed", "77", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_usage_errors(self, tmp_path):
-        out = str(tmp_path / "x.bin")
-        assert run("gen", "--n", "0", "--out", out) == 1
-        assert run("gen", "--n", "10", "--k", "1", "--out", out) == 1
-        assert run("gen", "--n", "10", "--shards", "0", "--out", out) == 1
-        assert run("gen", "--algo", "ziggurat", "--n", "10", "--out", out) == 1
+    def test_usage_errors(self, tmp_path, capsys):
+        out = tmp_path / "x.bin"
+        for argv in [
+            ("--n", "0"),
+            ("--n", "10", "--k", "1"),
+            ("--n", "10", "--shards", "0"),
+            # argparse's own errors, without its usage block
+            ("--algo", "ziggurat", "--n", "10"),
+            ("--n", "abc"),
+            ("--seed", "-0x1", "--n", "10"),
+            # refused before any allocation
+            ("--n", str(1 << 60)),
+        ]:
+            assert run("gen", *argv, "--out", str(out)) == 1, argv
+            assert_one_line_error(capsys.readouterr().err)
+            assert not out.exists()
+
+    def test_k_bound_is_refused_before_any_seed(self, tmp_path):
+        # 10^9 summands would be 10^9 derived seeds: a hang, not an error
+        out = tmp_path / "x.bin"
+        proc = run_child("gen", "--algo", "clt", "--k", "1000000000",
+                         "--n", "10", "--out", str(out))
+        assert proc.returncode == 1
+        assert_one_line_error(proc.stderr)
+        assert "--k" in proc.stderr
+        assert not out.exists()
+
+    def test_k_bound_accepted(self, tmp_path):
+        out = tmp_path / "x.bin"
+        assert run("gen", "--algo", "clt", "--k", str(cli._MAX_K), "--n", "2",
+                   "--out", str(out)) == 0
+        assert read_samples(out)[0].size == 2
+
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.00 EiB")
+
+        monkeypatch.setattr(transforms, "stream", exhausted)
+        assert run("gen", "--n", "10", "--out", str(tmp_path / "x.bin")) == 1
+        assert_one_line_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, code", [
         # 8 shards need 16 seeds; an order-4 register has only 15
@@ -568,6 +602,14 @@ class TestHistCommand:
         src = tmp_path / "s.csv"
         write_samples(src, np.array([1.0]), "reference", "csv")
         assert run("hist", str(src), "--bins", "0") == 1
+
+    def test_bins_beyond_memory_is_one_line_error(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        write_samples(src, np.array([1.0]), "reference", "csv")
+        assert run("hist", str(src), "--bins", str(1 << 60)) == 1
+        captured = capsys.readouterr()
+        assert_one_line_error(captured.err)
+        assert captured.out == ""
 
     def test_determinism(self, tmp_path):
         src = tmp_path / "s.bin"

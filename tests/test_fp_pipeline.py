@@ -596,6 +596,28 @@ class TestPipelineStream:
             want.append(outs[0])
         assert np.array_equal(res.values, np.array(want, dtype=np.float32))
 
+    @pytest.mark.parametrize("poly", ["x^33+x^13+1", "x^64+x^4+x^3+x+1"])
+    @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
+    def test_matches_scalar_graphs_above_order_32(self, algo, poly):
+        taps = urng.parse_polynomial(poly)
+        order = taps.bit_length() - 1
+
+        def sources():
+            seeds = urng.derive_seeds(53, 12 if algo == "clt" else 2, order)
+            return [urng.new_lfsr(urng.LfsrConfig(order=order, taps=taps,
+                                                  seed=s)) for s in seeds]
+
+        res = transforms.stream(algo, sources(), 301, mode="pipeline")
+        scalar = sources()
+        want = []
+        while len(want) < 301:
+            us = [uniform_to_f32(s.next_word(), order) for s in scalar]
+            if algo == "polar":
+                us = [F(2.0) * u - F(1.0) for u in us]
+            outs, _ = run_graph(algo, us)
+            want.extend(outs)
+        assert np.array_equal(res.values, np.array(want[:301], dtype=np.float32))
+
     def test_core_count_accounting(self):
         res = transforms.stream("polar", make_sources(43, 2), 1000,
                                 mode="pipeline")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from grng import urng
+from grng.fp_pipeline import uniform_to_f32
 from grng.urng import (
     BadPolynomialError,
     LfsrConfig,
@@ -311,7 +312,7 @@ class TestBulk:
         a, b = LfsrState(cfg), LfsrState(cfg)
         bulk = a.words(count)
         scalar = [b.next_word() for _ in range(count)]
-        assert bulk.dtype == np.uint64
+        assert bulk.dtype == (np.uint32 if order <= 32 else np.uint64)
         assert bulk.tolist() == scalar
         assert a.register == b.register
         assert a.steps_taken == b.steps_taken
@@ -386,6 +387,49 @@ class TestBulk:
         vals = st.uniforms(n)
         bound = 4.0 * math.sqrt(1.0 / 12.0) / math.sqrt(n)
         assert abs(vals.mean() - 0.5) < bound
+
+
+class TestBinary32Uniforms:
+    """uniforms(count, np.float32) rounds each word once, as the oracle does."""
+
+    @pytest.mark.parametrize("poly", ["x^4+x^3+1", "x^24+x^23+x^22+x^17+1"])
+    def test_full_period_equals_oracle(self, poly):
+        taps = parse_polynomial(poly)
+        n = taps.bit_length() - 1
+        cfg = LfsrConfig(order=n, taps=taps, seed=1)
+        assert verify_primitive(cfg)
+        period = 2 ** n - 1
+        words = LfsrState(cfg).words(period)
+        got = LfsrState(cfg).uniforms(period, np.float32)
+        assert got.dtype == np.float32
+        # the oracle's two roundings, elementwise over all 2^n - 1 words
+        # (2^24 scalar calls take about 15 s), and the scalar oracle itself
+        # on every word of order 4 and on a stride of those of order 24
+        want = (words.astype(np.float64) * 2.0 ** -n).astype(np.float32)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        stride = max(1, period // 4096)
+        for w, u in zip(words[::stride].tolist(), got[::stride]):
+            assert u.view(np.uint32) == uniform_to_f32(w, n).view(np.uint32)
+
+    @pytest.mark.parametrize("order, word", [
+        (32, 2 ** 32 - 2 ** 7),  # rounds up to 1.0f
+        (32, 2 ** 32 - 2 ** 7 - 1),
+        (32, 2 ** 24 + 1),
+        (32, 1),
+        # float64 rounds to 2^63 + 2^39, which ties to 0x1p-1 in binary32;
+        # a direct uint64 -> float32 cast gives 0x1.000002p-1
+        (64, 2 ** 63 + 2 ** 39 + 1),
+        (64, 2 ** 64 - 1),
+    ])
+    def test_crafted_words_equal_oracle(self, order, word):
+        words = np.array([word], dtype=urng._word_dtype(order))
+        got = urng._word_uniforms(words, order, np.float32)
+        assert got.dtype == np.float32
+        assert got[0].view(np.uint32) == uniform_to_f32(word, order).view(np.uint32)
+        if word == 2 ** 32 - 2 ** 7:
+            assert got[0] == np.float32(1.0)
+        if word == 2 ** 63 + 2 ** 39 + 1:
+            assert got[0] == np.float32(0.5)
 
 
 class TestUniformSemantics:
