@@ -518,9 +518,9 @@ def _lane_jumps(order, taps, m):
 
     Entry i tabulates the multiply by x^(_BLOCK * 2^(m + i) * n): the last
     column of the block tables squared m + i times (the table of a square
-    is the table applied to its own entries).  There are as many entries
-    as doublings reach _LANES lanes, so the streams of one (order, taps)
-    and lane length share them.
+    is the table applied to its own entries).  The entries reach _LANES
+    lanes; cached, they serve every stream of one (order, taps) and lane
+    length.
     """
     jump = _block_tables(order, taps)[..., _BLOCK]
     for _ in range(m):
