@@ -17,9 +17,9 @@ every output byte except bench timing fields.  Generation can shard into
 shard-major and deterministic given (seed, shard count).
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Every error is one
-`error:` line on stderr.  `--k` is at most 2**16, and a request whose
-samples or histogram bins alone exceed the machine's physical memory is a
-usage error before any work.
+`error:` line on stderr.  `--k` and `--shards` are at most 2**16, and a
+request whose samples or histogram bins alone exceed the machine's
+physical memory is a usage error before any work.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ _DATA_EXIT = 2
 #: Largest --k.  Each shard derives k seeds in a Python splitmix64 loop, so
 #: a k of 10^9 would run for hours before the first sample.
 _MAX_K = 1 << 16
+#: Largest --shards.  Each shard is a Python-level loop step with its own
+#: sources, so 2*10^5 one-sample shards took 13 s.
+_MAX_SHARDS = 1 << 16
 
 
 class _UsageError(Exception):
@@ -184,6 +187,8 @@ def _generate(args, count):
         raise _UsageError(f"--k must be <= {_MAX_K}, got {args.k}")
     if args.shards < 1:
         raise _UsageError("--shards must be >= 1")
+    if args.shards > _MAX_SHARDS:
+        raise _UsageError(f"--shards must be <= {_MAX_SHARDS}, got {args.shards}")
     seed = _master_seed(args)
     taps, order = _lfsr_config_args(args)
     clt = transforms.CltConfig(k=args.k)

@@ -22,8 +22,10 @@ exception flags its hardware counterpart exposes:
 DIV, SQRT, MUL and ADD are correctly rounded (native binary32 operations).
 LOG, SIN and COS evaluate in double precision and round once to binary32,
 which is faithful within 1 ulp of the correctly rounded result.  Each core
-is written with numpy operations only, so it takes a binary32 scalar or
-array and returns a result and flags of the same shape.
+is two parts in one table, `_CORES`: its result operation, a `Binary32`
+method, and its flag rule, (inputs, result) -> (zero, nan, overflow,
+underflow).  Both are numpy operations only, so a core takes a binary32
+scalar or array and returns a result and flags of the same shape.
 
 The three published architectures are defined once, in
 `transforms.ARCHITECTURES`, as functions of an evaluator.  This module
@@ -31,10 +33,10 @@ adds two evaluators to the float64 reference one:
 
 * `Binary32` -- the core results on whole batches, without flags; the
   batch generator `pipeline_stream` runs it.
-* the traced evaluator of `run_graph` -- a batch of one that goes through
-  the cores and records every invocation in a `PipelineTrace`.  A pass
-  enters one errstate and calls the core bodies under it; each public
-  `core_*` enters its own.
+* `PipelineTrace`, the evaluator of `run_graph` -- a batch of one that
+  runs `Binary32`'s operations and records each invocation's raw inputs
+  and result.  Its flags are formed only when they are read, by the rule
+  each public `core_*` applies to its own result.
 
 The batch generator is therefore bit-identical to chaining `run_graph`
 calls by construction, and the per-pass invocation counts
@@ -108,40 +110,6 @@ class CoreResult(NamedTuple):
         return dict(zip(_FLAGS, self[1:]))
 
 
-@dataclass
-class PipelineTrace:
-    """Per-invocation record of core activity.
-
-    Each record is the raw (core, inputs, CoreResult) of one invocation;
-    `counts` and `flag_counts` are kept as records arrive.  `to_dict`
-    renders the records with hex bit patterns and per-record flags.
-    Traces are plain per-call values and are never shared between graph
-    invocations.
-    """
-
-    records: list = field(default_factory=list)
-    counts: Counter = field(default_factory=Counter)
-    flag_counts: Counter = field(default_factory=Counter)
-
-    def record(self, core, inputs, result):
-        self.counts[core] += 1
-        if any(result[1:]):
-            self.flag_counts.update(n for n, on in result.flags.items() if on)
-        self.records.append((core, inputs, result))
-        return result
-
-    def to_dict(self):
-        return {
-            "records": [{"core": core,
-                         "input_bits_hex": [_hex32(v) for v in inputs],
-                         "output_bits_hex": _hex32(r.result),
-                         "flags": {n: bool(on) for n, on in r.flags.items()}}
-                        for core, inputs, r in self.records],
-            "counts": dict(self.counts),
-            "flag_counts": dict(self.flag_counts),
-        }
-
-
 class Binary32(transforms.Float64):
     """Pipeline evaluator: the core results on whole binary32 batches.
 
@@ -174,59 +142,72 @@ class Binary32(transforms.Float64):
         return dict(counts)
 
 
-def _core(body):
-    """A public core: `body` under its own errstate.  The traced evaluator
-    calls `body` itself (`__wrapped__`) inside one errstate per pass."""
-    @functools.wraps(body)
-    def core(*args):
-        with _quiet():
-            return body(*args)
-    return core
-
-
 def _no_port(r):
     """Constant flag of a port the core lacks, shaped like r without allocating."""
     return np.broadcast_to(False, r.shape) if r.shape else False
 
 
-def _finite(x):
-    return abs(x) < _INF
+def _log_flags(xs, r):
+    (x,) = xs
+    return (r == 0, (x != x) | (x < 0)) + (_no_port(r),) * 2
 
 
-def _arith(op, a, b):
-    """A MUL/ADD core: op's result with the generic IEEE-derived flags."""
-    a, b = np.float32(a), np.float32(b)
-    r = op(a, b)
-    return CoreResult(r, r == 0, r != r,
-                      (abs(r) == _INF) & _finite(a) & _finite(b),
-                      (r != 0) & (abs(r) < _SMALLEST_NORMAL))
+def _trig_flags(xs, r):
+    return (_no_port(r),) * 4
 
 
-@_core
+def _div_flags(xs, q):
+    a, b = xs
+    return (q == 0, q != q,
+            (abs(q) == _INF) & (abs(a) < _INF) & (abs(b) < _INF) & (b != 0),
+            (abs(q) < _SMALLEST_NORMAL) & (a != 0) & (b != 0))
+
+
+def _sqrt_flags(xs, r):
+    return r == 0, r != r, r == _INF, _no_port(r)
+
+
+def _arith_flags(xs, r):
+    """MUL/ADD: the generic IEEE-derived flags."""
+    a, b = xs
+    return (r == 0, r != r,
+            (abs(r) == _INF) & (abs(a) < _INF) & (abs(b) < _INF),
+            (r != 0) & (abs(r) < _SMALLEST_NORMAL))
+
+
+#: The seven cores by evaluator operation: (result operation, flag rule).  A
+#: rule maps (inputs, result) to (zero, nan, overflow, underflow).
+_CORES = {name: (getattr(Binary32, name), rule) for name, rule in (
+    ("log", _log_flags), ("sin", _trig_flags), ("cos", _trig_flags),
+    ("sqrt", _sqrt_flags), ("mul", _arith_flags), ("add", _arith_flags),
+    ("div", _div_flags))}
+
+
+def _flagged(core, xs, r):
+    """The CoreResult of one invocation; call under `_quiet`."""
+    return CoreResult(r, *_CORES[core][1](xs, r))
+
+
+def _run_core(core, *xs):
+    """A public core: its result and flags on binary32 operands, in one errstate."""
+    with _quiet():
+        xs = [np.float32(x) for x in xs]
+        return _flagged(core, xs, _CORES[core][0](*xs))
+
+
 def core_log(x):
     """Natural logarithm core (binary32 in, binary32 out)."""
-    x = np.float32(x)
-    r = Binary32.log(x)
-    none = _no_port(r)
-    return CoreResult(r, r == 0, (x != x) | (x < 0), none, none)
+    return _run_core("log", x)
 
 
-def _trig(fn, x):
-    r = fn(np.float32(x))
-    none = _no_port(r)
-    return CoreResult(r, none, none, none, none)
-
-
-@_core
 def core_sin(x):
     """Sine core.  No exception ports."""
-    return _trig(Binary32.sin, x)
+    return _run_core("sin", x)
 
 
-@_core
 def core_cos(x):
     """Cosine core.  No exception ports."""
-    return _trig(Binary32.cos, x)
+    return _run_core("cos", x)
 
 
 def core_sincos(x, mode):
@@ -236,63 +217,45 @@ def core_sincos(x, mode):
     return core_sin(x) if mode == "sin" else core_cos(x)
 
 
-@_core
 def core_div(a, b):
     """Correctly rounded binary32 division with the documented flag set."""
-    a, b = np.float32(a), np.float32(b)
-    q = Binary32.div(a, b)
-    return CoreResult(q, q == 0, q != q,
-                      (abs(q) == _INF) & _finite(a) & _finite(b) & (b != 0),
-                      (abs(q) < _SMALLEST_NORMAL) & (a != 0) & (b != 0))
+    return _run_core("div", a, b)
 
 
-@_core
 def core_sqrt(x):
     """Correctly rounded binary32 square root with the documented flag set."""
-    r = Binary32.sqrt(np.float32(x))
-    return CoreResult(r, r == 0, r != r, r == _INF, _no_port(r))
+    return _run_core("sqrt", x)
 
 
-@_core
 def core_mul(a, b):
-    return _arith(Binary32.mul, a, b)
+    return _run_core("mul", a, b)
 
 
-@_core
 def core_add(a, b):
-    return _arith(Binary32.add, a, b)
-
-
-#: The seven cores by the evaluator operation they implement.
-_CORES = {"log": core_log, "sin": core_sin, "cos": core_cos, "sqrt": core_sqrt,
-          "mul": core_mul, "add": core_add, "div": core_div}
-
-
-def uniform_to_f32(word, order):
-    """Convert an n-bit LFSR word to the binary32 nearest word / 2**n."""
-    return np.float32(float(word) * 2.0 ** -order)
+    return _run_core("add", a, b)
 
 
 class _Rejected(Exception):
     """A traced polar proposal fell outside the unit disk."""
 
 
-def _traced_op(name, core):
-    """Evaluator operation `name`: the body of `core`, recorded."""
-    body = core.__wrapped__
+@dataclass
+class PipelineTrace:
+    """Per-invocation record of core activity, and the evaluator that makes it.
 
-    def op(self, *xs):
-        return self.record(name, xs, body(*xs)).result
-    return op
+    As the evaluator of one `run_graph` pass, a trace runs `Binary32`'s
+    operations, appends each invocation's raw (core, inputs, result) to
+    `records` and counts it in `counts`.  Flags are formed only when read:
+    `results`, `flag_counts` and `to_dict` apply each core's flag rule to
+    the records, the rule the public `core_*` functions apply.  `to_dict`
+    renders the records with hex bit patterns and per-record flags.
+    Traces are plain per-call values and are never shared between graph
+    invocations.
+    """
 
-
-class _Traced:
-    """Batch-of-one evaluator: every operation runs its core and is recorded."""
-
+    records: list = field(default_factory=list)
+    counts: Counter = field(default_factory=Counter)
     dtype = np.float32
-
-    def __init__(self, trace):
-        self.record = trace.record
 
     @staticmethod
     def accept(keep, *xs):
@@ -300,9 +263,47 @@ class _Traced:
             raise _Rejected
         return xs
 
+    def results(self):
+        """The CoreResult of each record, its flags formed now."""
+        with _quiet():
+            return [_flagged(*rec) for rec in self.records]
 
-for _name, _core_fn in _CORES.items():
-    setattr(_Traced, _name, _traced_op(_name, _core_fn))
+    @property
+    def flag_counts(self):
+        return Counter(n for r in self.results()
+                       for n, on in r.flags.items() if on)
+
+    def to_dict(self):
+        return {
+            "records": [{"core": core,
+                         "input_bits_hex": [_hex32(v) for v in inputs],
+                         "output_bits_hex": _hex32(r.result),
+                         "flags": {n: bool(on) for n, on in r.flags.items()}}
+                        for (core, inputs, _), r in zip(self.records,
+                                                        self.results())],
+            "counts": dict(self.counts),
+            "flag_counts": dict(self.flag_counts),
+        }
+
+
+def _recorded(core, op):
+    """Evaluator operation `core`: `op`, recorded in the trace."""
+    def recorded(self, *xs):
+        r = op(*xs)
+        self.records.append((core, xs, r))
+        counts = self.counts
+        counts[core] = counts.get(core, 0) + 1
+        return r
+    return recorded
+
+
+for _core, (_op, _) in _CORES.items():
+    setattr(PipelineTrace, _core, _recorded(_core, _op))
+
+
+def uniform_to_f32(word, order):
+    """Convert an n-bit LFSR word to the binary32 nearest word / 2**n."""
+    return np.float32(float(word) * 2.0 ** -order)
 
 
 def run_graph(algo, inputs, *, k=None):
@@ -314,7 +315,7 @@ def run_graph(algo, inputs, *, k=None):
     multipliers and the adder that computed s.
     """
     t = PipelineTrace()
-    xs = [np.float32(v) for v in inputs]
+    xs = list(map(np.float32, inputs))
     if algo not in transforms.ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
     if algo == "clt":
@@ -325,7 +326,7 @@ def run_graph(algo, inputs, *, k=None):
         raise ArityMismatchError(f"{algo} graph takes 2 inputs")
     try:
         with _quiet():
-            outputs = transforms.ARCHITECTURES[algo](_Traced(t), xs)
+            outputs = transforms.ARCHITECTURES[algo](t, xs)
     except _Rejected:
         return [], t
     return list(outputs), t

@@ -61,8 +61,12 @@ def write_samples(path, values, mode, fmt):
     path = Path(path)
     values = np.asarray(values)
     if fmt == "bin":
+        # the samples' own buffer when they already have the file's dtype
+        payload = np.ascontiguousarray(values, dtype=_dtype_for(mode))
         header = MAGIC + struct.pack("<IQ", _MODE_CODES[mode], values.size)
-        path.write_bytes(header + values.astype(_dtype_for(mode)).tobytes())
+        with path.open("wb") as out:
+            out.write(header)
+            out.write(payload.data)
     elif fmt == "csv":
         with path.open("w") as out:
             for i in range(0, values.size, _TEXT_CHUNK):

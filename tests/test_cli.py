@@ -404,6 +404,30 @@ class TestGen:
         assert "--k" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen", "bench", "quadrature"])
+    def test_shards_bound_is_refused_before_any_seed(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # 2*10^5 one-sample shards ran for 13 s before the bound
+        def derive_seeds(*args):
+            raise AssertionError("seeds derived for a refused --shards")
+
+        monkeypatch.setattr(urng, "derive_seeds", derive_seeds)
+        out = tmp_path / "x.out"
+        argv = [command, "--n", "200000", "--shards", str(cli._MAX_SHARDS + 1)]
+        if command != "bench":
+            argv += ["--out", str(out)]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "--shards" in err
+        assert not out.exists()
+
+    def test_shards_bound_accepted(self, tmp_path):
+        out = tmp_path / "x.bin"
+        assert run("gen", "--n", "2", "--shards", str(cli._MAX_SHARDS),
+                   "--out", str(out)) == 0
+        assert read_samples(out)[0].size == 2
+
     def test_k_bound_accepted(self, tmp_path):
         out = tmp_path / "x.bin"
         assert run("gen", "--algo", "clt", "--k", str(cli._MAX_K), "--n", "2",

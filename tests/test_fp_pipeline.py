@@ -698,3 +698,56 @@ class TestConversion:
     def test_large_word_can_round_to_one(self):
         assert uniform_to_f32(2 ** 32 - 1, 32) == np.float32(1.0)
         assert uniform_to_f32(2 ** 32 - 2 ** 9, 32) < np.float32(1.0)
+
+
+CORE_FNS = {"log": core_log, "sin": core_sin, "cos": core_cos,
+            "sqrt": core_sqrt, "div": core_div, "mul": core_mul,
+            "add": core_add}
+
+
+class TestDeferredFlags:
+    """A trace forms its flags when read, by the rule the public cores apply."""
+
+    value = st_.one_of(st_.sampled_from(TestArrayCores.SPECIALS).map(F),
+                       st_.integers(0, 2 ** 32 - 1).map(from_bits))
+
+    @staticmethod
+    def assert_same(traced, public):
+        assert bits_of(traced.result) == bits_of(public.result)
+        assert {n: bool(on) for n, on in traced.flags.items()} == \
+            {n: bool(on) for n, on in public.flags.items()}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st_.data(), core=st_.sampled_from(sorted(CORE_FNS)))
+    def test_recorded_invocation_flags_equal_core(self, data, core):
+        arity = 2 if core in ("div", "mul", "add") else 1
+        xs = data.draw(st_.lists(self.value, min_size=arity, max_size=arity))
+        t = fp.PipelineTrace()
+        with np.errstate(all="ignore"):
+            getattr(t, core)(*xs)
+        assert [(c, len(ins)) for c, ins, _ in t.records] == [(core, arity)]
+        assert dict(t.counts) == {core: 1}
+        self.assert_same(t.results()[0], CORE_FNS[core](*xs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st_.data(), algo=st_.sampled_from(transforms.ALGORITHMS))
+    def test_graph_records_flag_like_cores(self, data, algo):
+        k = 12 if algo == "clt" else 2
+        xs = data.draw(st_.lists(self.value, min_size=k, max_size=k))
+        _, t = run_graph(algo, xs)
+        for (core, inputs, _), traced in zip(t.records, t.results()):
+            self.assert_same(traced, CORE_FNS[core](*inputs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st_.data(), algo=st_.sampled_from(transforms.ALGORITHMS))
+    def test_to_dict_unchanged_by_later_passes(self, data, algo):
+        k = 12 if algo == "clt" else 2
+        passes = data.draw(st_.lists(
+            st_.lists(self.value, min_size=k, max_size=k), min_size=2,
+            max_size=4))
+        _, first = run_graph(algo, passes[0])
+        doc = first.to_dict()
+        for xs in passes[1:]:
+            run_graph(algo, xs)
+        assert first.to_dict() == doc
+        assert dict(first.flag_counts) == doc["flag_counts"]
