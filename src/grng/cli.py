@@ -43,8 +43,8 @@ _DATA_EXIT = 2
 #: Largest --k.  Each shard derives k seeds in a Python splitmix64 loop, so
 #: a k of 10^9 would run for hours before the first sample.
 _MAX_K = 1 << 16
-#: Largest --shards.  Each shard is a Python-level loop step with its own
-#: sources, so 2*10^5 one-sample shards took 13 s.
+#: Largest --shards.  Each shard is a Python-level loop step that builds its
+#: own sources, so 10^5 one-sample shards spend seconds on set-up alone.
 _MAX_SHARDS = 1 << 16
 
 

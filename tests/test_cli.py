@@ -407,7 +407,7 @@ class TestGen:
     @pytest.mark.parametrize("command", ["gen", "bench", "quadrature"])
     def test_shards_bound_is_refused_before_any_seed(self, tmp_path, capsys,
                                                      monkeypatch, command):
-        # 2*10^5 one-sample shards ran for 13 s before the bound
+        # every shard is a Python-level step: refuse before any set-up work
         def derive_seeds(*args):
             raise AssertionError("seeds derived for a refused --shards")
 
