@@ -10,16 +10,18 @@ bench       throughput comparison across algorithms, with core-invocation
 quadrature  map generated Gaussians to (q, p) modulation pairs
 
 Everything is reproducible from the command line: a 64-bit master seed
-(--seed, or the GRNG_SEED environment variable) expands into per-stream
-LFSR seeds through splitmix64, and (subcommand, full config) determines
-every output byte except bench timing fields.  Generation can shard into
-`--shards` worker streams with distinct derived seeds; output is
-shard-major and deterministic given (seed, shard count).
+(--seed, whose default is the GRNG_SEED environment variable, then 1)
+expands into per-stream LFSR seeds through splitmix64, and (subcommand,
+full config) determines every output byte except bench timing fields.
+Generation can shard into `--shards` worker streams with distinct derived
+seeds; output is shard-major and deterministic given (seed, shard count).
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Every error is one
-`error:` line on stderr.  `--k` and `--shards` are at most 2**16, and a
-request whose samples or histogram bins alone exceed the machine's
-physical memory is a usage error before any work.
+`error:` line on stderr.  Each bounded flag's domain is its argparse
+`type`, so a value outside it is argparse's usage error, naming the flag,
+before any work; GRNG_SEED meets --seed's rule.  A request whose samples
+or histogram bins alone exceed the machine's physical memory is a usage
+error before any work too.
 """
 
 from __future__ import annotations
@@ -69,36 +71,50 @@ def _check_memory(what, nbytes):
                           f"the {total / 2**30:.3g} GiB of memory")
 
 
-def _master_seed(args):
-    """--seed, else $GRNG_SEED, else 1; refused outside [0, 2**64).
+class _EnvSeed(str):
+    """$GRNG_SEED as --seed's default; an error in it names GRNG_SEED."""
 
-    derive_seeds reads the seed modulo 2**64, so a wider value would write
-    the samples of another seed under its own name in the sidecar.
+    def __repr__(self):
+        return f"GRNG_SEED={str.__repr__(self)}"
+
+
+def _domain(convert, ok, rule):
+    """An argparse `type`: `convert` the text and keep it only if `ok`.
+
+    Anything else is argparse's own one-line error, naming the flag and
+    `rule`.  argparse converts a string default too, when the flag is
+    absent, so a default from the environment meets the same rule.
     """
-    if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    else:
-        env = os.environ.get("GRNG_SEED")
-        if not env:
-            return 1
+    def parse(text):
         try:
-            seed, source = int(env, 0), "GRNG_SEED"
+            value = convert(text)
+            if ok(value):
+                return value
         except ValueError:
-            raise _UsageError(f"GRNG_SEED must be an integer, got {env!r}") from None
-    if not 0 <= seed < 1 << 64:
-        raise _UsageError(f"{source} must lie in [0, 2**64), got {seed}")
-    return seed
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return parse
 
 
 def _add_gen_args(p):
     p.add_argument("--algo", choices=transforms.ALGORITHMS, default="box-muller")
-    p.add_argument("--n", type=int, default=1000, help="number of samples")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+    p.add_argument("--n", type=_domain(int, lambda n: n >= 1, "an integer >= 1"),
+                   default=1000, help="number of samples")
+    # derive_seeds reads the seed modulo 2**64, so a wider value would write
+    # the samples of another seed under its own name in the sidecar
+    p.add_argument("--seed", type=_domain(lambda s: int(s, 0),
+                                          lambda s: 0 <= s < 1 << 64,
+                                          "an integer in [0, 2**64)"),
+                   default=_EnvSeed(os.environ.get("GRNG_SEED") or "1"),
                    help="64-bit master seed (default: $GRNG_SEED or 1)")
     p.add_argument("--mode", choices=("reference", "pipeline"),
                    default="reference")
-    p.add_argument("--k", type=int, default=12, help="CLT summand count")
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--k", type=_domain(int, lambda k: 2 <= k <= _MAX_K,
+                                       f"an integer in [2, {_MAX_K}]"),
+                   default=12, help="CLT summand count")
+    p.add_argument("--shards", type=_domain(int, lambda s: 1 <= s <= _MAX_SHARDS,
+                                            f"an integer in [1, {_MAX_SHARDS}]"),
+                   default=1)
     p.add_argument("--poly", default=None,
                    help="LFSR polynomial, as x^a+x^b+...+1 or a hex tap mask")
 
@@ -115,17 +131,22 @@ def _build_parser():
 
     test = sub.add_parser("test", help="run normality tests on a sample file")
     test.add_argument("input")
-    test.add_argument("--suite", default="chi2,ad,ks",
-                      help="comma-separated subset of chi2,ad,ks")
-    test.add_argument("--alpha", type=float, default=0.05)
-    test.add_argument("--bins", type=int, default=8,
+    test.add_argument("--suite", default="chi2,ad,ks", type=_domain(
+        lambda s: tuple(t.strip() for t in s.split(",") if t.strip()),
+        lambda t: t and set(t) <= {"chi2", "ad", "ks"},
+        "a comma-separated subset of chi2,ad,ks"))
+    test.add_argument("--alpha", default=0.05,
+                      type=_domain(float, lambda a: 0 < a < 1, "a number in (0, 1)"))
+    test.add_argument("--bins", default=8,
+                      type=_domain(int, lambda b: b >= 2, "an integer >= 2"),
                       help="equal-probability bins for the chi2 test")
     test.add_argument("--format", choices=sampleio.FORMATS, default=None)
     test.add_argument("--out", default=None, help="write the report as JSON")
 
     hist = sub.add_parser("hist", help="histogram a sample file to CSV")
     hist.add_argument("input")
-    hist.add_argument("--bins", type=int, default=100)
+    hist.add_argument("--bins", default=100,
+                      type=_domain(int, lambda b: b >= 1, "an integer >= 1"))
     hist.add_argument("--format", choices=sampleio.FORMATS, default=None)
     hist.add_argument("--out", default=None, help="CSV path (default stdout)")
 
@@ -139,8 +160,9 @@ def _build_parser():
     _add_gen_args(quad)
     quad.add_argument("--format", choices=("csv", "json"), default="csv")
     quad.add_argument("--out", required=True)
-    quad.add_argument("--variance", type=float, default=1.0,
-                      help="modulation variance V")
+    quad.add_argument("--variance", default=1.0, help="modulation variance V",
+                      type=_domain(float, lambda v: 0 < v < math.inf,
+                                   "a number in (0, inf)"))
 
     return parser
 
@@ -175,28 +197,17 @@ def _warn_past_period(sources, first):
                   f"its output repeats", file=sys.stderr)
 
 
-def _generate(args, count):
-    """Shard-major generation; returns (values, metadata dict)."""
-    if count < 1:
-        raise _UsageError("--n must be >= 1")
+def _generate(args, algo, count):
+    """Shard-major generation of `count` `algo` samples: (values, metadata)."""
     # every mode holds at least 8 bytes per sample
     _check_memory(f"{count} samples", 8 * count)
-    if args.k < 2:
-        raise _UsageError("--k must be >= 2")
-    if args.k > _MAX_K:
-        raise _UsageError(f"--k must be <= {_MAX_K}, got {args.k}")
-    if args.shards < 1:
-        raise _UsageError("--shards must be >= 1")
-    if args.shards > _MAX_SHARDS:
-        raise _UsageError(f"--shards must be <= {_MAX_SHARDS}, got {args.shards}")
-    seed = _master_seed(args)
     taps, order = _lfsr_config_args(args)
     clt = transforms.CltConfig(k=args.k)
-    streams_per_shard = clt.k if args.algo == "clt" else 2
+    streams_per_shard = clt.k if algo == "clt" else 2
     # shards beyond the n-th would be empty: seeds go only to those that run
     shards = min(args.shards, count)
     try:
-        lfsr_seeds = urng.derive_seeds(seed, shards * streams_per_shard, order)
+        lfsr_seeds = urng.derive_seeds(args.seed, shards * streams_per_shard, order)
     except ValueError as exc:
         raise _UsageError(exc) from None
 
@@ -210,7 +221,7 @@ def _generate(args, count):
             urng.new_lfsr(urng.LfsrConfig(order=order, taps=taps, seed=s))
             for s in lfsr_seeds[lo:lo + streams_per_shard]
         ]
-        result = transforms.stream(args.algo, sources, size,
+        result = transforms.stream(algo, sources, size,
                                    mode=args.mode, clt=clt)
         _warn_past_period(sources, lo)
         pieces.append(result.values)
@@ -222,10 +233,10 @@ def _generate(args, count):
 
     values = np.concatenate(pieces)
     meta = {
-        "algorithm": args.algo,
+        "algorithm": algo,
         "mode": args.mode,
         "n": count,
-        "master_seed": seed,
+        "master_seed": args.seed,
         "shards": args.shards,
         "order": order,
         "polynomial": urng.polynomial_str(taps),
@@ -233,9 +244,9 @@ def _generate(args, count):
         "lfsr_seeds": lfsr_seeds,
         "uniforms_consumed": consumed,
     }
-    if args.algo == "clt":
+    if algo == "clt":
         meta["k"] = args.k
-    if args.algo == "polar":
+    if algo == "polar":
         meta["pairs_proposed"] = proposed
         meta["pairs_accepted"] = accepted
     if core_counts:
@@ -244,7 +255,7 @@ def _generate(args, count):
 
 
 def _cmd_gen(args):
-    values, meta = _generate(args, args.n)
+    values, meta = _generate(args, args.algo, args.n)
     path = sampleio.write_samples(args.out, values, args.mode, args.format)
     meta["format"] = args.format
     sampleio.write_sidecar(path, meta)
@@ -268,18 +279,8 @@ def _render_report_table(reports):
 
 
 def _cmd_test(args):
-    suite = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-    if not suite:
-        raise _UsageError("--suite must name at least one test")
-    unknown = [s for s in suite if s not in ("chi2", "ad", "ks")]
-    if unknown:
-        raise _UsageError(f"unknown tests in --suite: {','.join(unknown)}")
-    if args.bins < 2:
-        raise _UsageError("--bins must be >= 2")
-    if not 0 < args.alpha < 1:
-        raise _UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
     values, _mode = sampleio.read_samples(args.input, fmt=args.format)
-    reports = stats.run_suite(values, suite=suite, alpha=args.alpha,
+    reports = stats.run_suite(values, suite=args.suite, alpha=args.alpha,
                               bins=args.bins)
     print(_render_report_table(reports))
     if args.out:
@@ -293,8 +294,6 @@ def _cmd_test(args):
 
 
 def _cmd_hist(args):
-    if args.bins < 1:
-        raise _UsageError("--bins must be >= 1")
     # float64 edges and int64 counts
     _check_memory(f"{args.bins} bins", 16 * args.bins)
     values, _mode = sampleio.read_samples(args.input, fmt=args.format)
@@ -310,14 +309,11 @@ def _cmd_hist(args):
 
 def _cmd_bench(args):
     algos = transforms.ALGORITHMS if args.all_algos else (args.algo,)
-    args.seed = _master_seed(args)  # a bad seed is refused before the header
     print(f"{'algorithm':<12} {'mode':<10} {'samples/s':>12} "
           f"{'uniforms/sample':>16}  core counts")
     for algo in algos:
-        ns = argparse.Namespace(**vars(args))
-        ns.algo = algo
         start = time.perf_counter()
-        values, meta = _generate(ns, args.n)
+        values, meta = _generate(args, algo, args.n)
         elapsed = time.perf_counter() - start
         rate = values.size / elapsed if elapsed > 0 else float("inf")
         ratio = meta["uniforms_consumed"] / values.size
@@ -334,13 +330,7 @@ def _cmd_bench(args):
 
 
 def _cmd_quadrature(args):
-    if args.n < 1:
-        raise _UsageError("--n must be >= 1")
-    if not 0 < args.variance < math.inf:
-        raise _UsageError(f"--variance must lie in (0, inf), got {args.variance}")
-    gen_args = argparse.Namespace(**vars(args))
-    gen_args.n = 2 * args.n
-    values, meta = _generate(gen_args, 2 * args.n)
+    values, meta = _generate(args, args.algo, 2 * args.n)
     config = qkdmod.ModulationConfig(variance=args.variance, count=args.n)
     pairs = qkdmod.quadrature_stream(values, config)
     if args.format == "json":

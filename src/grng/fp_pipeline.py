@@ -244,17 +244,15 @@ class PipelineTrace:
     """Per-invocation record of core activity, and the evaluator that makes it.
 
     As the evaluator of one `run_graph` pass, a trace runs `Binary32`'s
-    operations, appends each invocation's raw (core, inputs, result) to
-    `records` and counts it in `counts`.  Flags are formed only when read:
-    `results`, `flag_counts` and `to_dict` apply each core's flag rule to
-    the records, the rule the public `core_*` functions apply.  `to_dict`
-    renders the records with hex bit patterns and per-record flags.
-    Traces are plain per-call values and are never shared between graph
-    invocations.
+    operations and appends each invocation's raw (core, inputs, result) to
+    `records`.  Counts and flags are formed from the records when read:
+    `results`, `flag_counts` and `to_dict` apply each core's flag rule,
+    the rule the public `core_*` functions apply.  `to_dict` renders the
+    records with hex bit patterns and per-record flags.  Traces are plain
+    per-call values and are never shared between graph invocations.
     """
 
     records: list = field(default_factory=list)
-    counts: Counter = field(default_factory=Counter)
     dtype = np.float32
 
     @staticmethod
@@ -267,6 +265,10 @@ class PipelineTrace:
         """The CoreResult of each record, its flags formed now."""
         with _quiet():
             return [_flagged(*rec) for rec in self.records]
+
+    @property
+    def counts(self):
+        return Counter(core for core, _, _ in self.records)
 
     @property
     def flag_counts(self):
@@ -291,8 +293,6 @@ def _recorded(core, op):
     def recorded(self, *xs):
         r = op(*xs)
         self.records.append((core, xs, r))
-        counts = self.counts
-        counts[core] = counts.get(core, 0) + 1
         return r
     return recorded
 

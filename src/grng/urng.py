@@ -144,7 +144,6 @@ _MERSENNE_FACTORS = {
 #: Characteristic polynomial used by the reference hardware design,
 #: x^32 + x^8 + x^5 + x^2 + 1 (primitive; period 2**32 - 1).
 DEFAULT_POLYNOMIAL = (1 << 32) | (1 << 8) | (1 << 5) | (1 << 2) | 1
-DEFAULT_ORDER = 32
 
 
 def parse_polynomial(poly):

@@ -376,13 +376,23 @@ class TestGen:
         monkeypatch.delenv("GRNG_SEED")
         run("gen", "--n", "100", "--seed", "77", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+        # --seed overrides even a malformed GRNG_SEED; an empty one means 1
+        monkeypatch.setenv("GRNG_SEED", "abc")
+        assert run("gen", "--n", "100", "--seed", "77", "--out", str(a)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        monkeypatch.setenv("GRNG_SEED", "")
+        assert run("gen", "--n", "100", "--out", str(a)) == 0
+        assert read_sidecar(a)["master_seed"] == 1
 
     def test_usage_errors(self, tmp_path, capsys):
         out = tmp_path / "x.bin"
-        for argv in [
+        bounds = [
             ("--n", "0"),
             ("--n", "10", "--k", "1"),
             ("--n", "10", "--shards", "0"),
+        ]
+        for argv in [
+            *bounds,
             # argparse's own errors, without its usage block
             ("--algo", "ziggurat", "--n", "10"),
             ("--n", "abc"),
@@ -393,6 +403,15 @@ class TestGen:
             assert run("gen", *argv, "--out", str(out)) == 1, argv
             assert_one_line_error(capsys.readouterr().err)
             assert not out.exists()
+        # the other generating commands parse the same flags
+        for command, files in (("bench", ()), ("quadrature", ("--out", str(out)))):
+            for argv in bounds:
+                assert run(command, *argv, *files) == 1, (command, argv)
+                captured = capsys.readouterr()
+                assert_one_line_error(captured.err)
+                assert f"argument {argv[-2]}:" in captured.err
+                assert captured.out == ""
+                assert not out.exists()
 
     def test_k_bound_is_refused_before_any_seed(self, tmp_path):
         # 10^9 summands would be 10^9 derived seeds: a hang, not an error
@@ -466,6 +485,12 @@ class TestGen:
         monkeypatch.setenv("GRNG_SEED", "abc")
         assert run("gen", "--n", "10", "--out", str(tmp_path / "x.bin")) == 1
         assert_one_line_error(capsys.readouterr().err)
+        # test and hist take no seed, so they ignore it
+        path = tmp_path / "y.bin"
+        assert run("gen", "--n", "100", "--seed", "1", "--out", str(path)) == 0
+        assert run("test", str(path), "--suite", "ad,ks") == 0
+        assert run("hist", str(path), "--bins", "4") == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("seed", ["0x10000000000000005", str(1 << 64),
                                       "-3", "-0x1"])

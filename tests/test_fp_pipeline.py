@@ -420,6 +420,8 @@ class TestRunGraph:
             run_graph("polar", [F(0.5)] * 3)
         with pytest.raises(ArityMismatchError):
             run_graph("clt", [F(0.5)] * 5, k=12)
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            run_graph("bogus", [F(0.5)] * 2)
 
     def test_uniform_exactly_one_is_benign(self):
         # binary32 rounding can turn a large word into u = 1.0; the graph

@@ -368,6 +368,9 @@ class TestChiSquare:
                                match=f"{bins} bins needs >= {bins} samples, got 60"):
                 run_suite(xs, bins=bins)
         assert len(run_suite(xs, suite=("ad", "ks"), bins=10 ** 10)) == 2
+        # the library's own guard, as the CLI refuses --bins 1 while parsing
+        with pytest.raises(ValueError, match="bins must be >= 2, got 1"):
+            run_suite(xs, bins=1)
         # the sample-count check of chi2 comes first, as in canonical order
         with pytest.raises(InsufficientSampleError, match="needs >= 50 samples"):
             chi_square_gof(xs[:10], bins=10 ** 10)
@@ -509,6 +512,7 @@ class TestReportSemantics:
         assert [r.test_name for r in reports] == ["chi2", "ks"]
         with pytest.raises(ValueError):
             run_suite(xs, suite=("chi2", "cvm"))
+        assert run_suite(xs, suite=()) == []
 
 
 class TestBatteryBehavior:

@@ -240,6 +240,10 @@ class TestStream:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             stream("ziggurat", make_sources(1, 2), 10)
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            stream("box-muller", make_sources(1, 2), 10, mode="bogus")
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            stream("box-muller", make_sources(1, 2), -1)
 
     def test_source_arity_checked(self):
         with pytest.raises(ValueError):
