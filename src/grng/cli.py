@@ -27,12 +27,14 @@ error before any work too.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -167,14 +169,6 @@ def _build_parser():
     return parser
 
 
-def _lfsr_config_args(args):
-    taps = urng.parse_polynomial(args.poly) if args.poly else urng.DEFAULT_POLYNOMIAL
-    order = taps.bit_length() - 1
-    # reject a bad polynomial before any seed is derived for it
-    urng.LfsrConfig(order=order, taps=taps, seed=1)
-    return taps, order
-
-
 def _shard_sizes(n, shards):
     base, extra = divmod(n, shards)
     return [base + (1 if i < extra else 0) for i in range(shards)]
@@ -201,57 +195,46 @@ def _generate(args, algo, count):
     """Shard-major generation of `count` `algo` samples: (values, metadata)."""
     # every mode holds at least 8 bytes per sample
     _check_memory(f"{count} samples", 8 * count)
-    taps, order = _lfsr_config_args(args)
+    # a bad polynomial is refused here, before any seed is derived for it
+    lfsr = urng.LfsrConfig.from_polynomial(args.poly or urng.DEFAULT_POLYNOMIAL,
+                                           seed=1)
     clt = transforms.CltConfig(k=args.k)
-    streams_per_shard = clt.k if algo == "clt" else 2
+    per_shard = clt.k if algo == "clt" else 2  # LFSR streams per shard
     # shards beyond the n-th would be empty: seeds go only to those that run
     shards = min(args.shards, count)
     try:
-        lfsr_seeds = urng.derive_seeds(args.seed, shards * streams_per_shard, order)
+        lfsr_seeds = urng.derive_seeds(args.seed, shards * per_shard, lfsr.order)
     except ValueError as exc:
         raise _UsageError(exc) from None
 
-    pieces = []
-    consumed = 0
-    proposed = accepted = 0
-    core_counts = {}
+    results = []
     for shard, size in enumerate(_shard_sizes(count, shards)):
-        lo = shard * streams_per_shard
-        sources = [
-            urng.new_lfsr(urng.LfsrConfig(order=order, taps=taps, seed=s))
-            for s in lfsr_seeds[lo:lo + streams_per_shard]
-        ]
-        result = transforms.stream(algo, sources, size,
-                                   mode=args.mode, clt=clt)
+        lo = shard * per_shard
+        sources = [urng.new_lfsr(dataclasses.replace(lfsr, seed=s))
+                   for s in lfsr_seeds[lo:lo + per_shard]]
+        results.append(transforms.stream(algo, sources, size,
+                                         mode=args.mode, clt=clt))
         _warn_past_period(sources, lo)
-        pieces.append(result.values)
-        consumed += result.uniforms_consumed
-        proposed += result.pairs_proposed
-        accepted += result.pairs_accepted
-        for core, c in (result.core_counts or {}).items():
-            core_counts[core] = core_counts.get(core, 0) + c
 
-    values = np.concatenate(pieces)
     meta = {
         "algorithm": algo,
         "mode": args.mode,
         "n": count,
         "master_seed": args.seed,
         "shards": args.shards,
-        "order": order,
-        "polynomial": urng.polynomial_str(taps),
-        "taps": f"{taps:#x}",
+        **{key: v for key, v in lfsr.to_dict().items() if key != "seed"},
         "lfsr_seeds": lfsr_seeds,
-        "uniforms_consumed": consumed,
+        "uniforms_consumed": sum(r.uniforms_consumed for r in results),
     }
     if algo == "clt":
         meta["k"] = args.k
     if algo == "polar":
-        meta["pairs_proposed"] = proposed
-        meta["pairs_accepted"] = accepted
+        meta["pairs_proposed"] = sum(r.pairs_proposed for r in results)
+        meta["pairs_accepted"] = sum(r.pairs_accepted for r in results)
+    core_counts = sum((Counter(r.core_counts) for r in results), Counter())
     if core_counts:
         meta["core_counts"] = dict(sorted(core_counts.items()))
-    return values, meta
+    return np.concatenate([r.values for r in results]), meta
 
 
 def _cmd_gen(args):

@@ -239,6 +239,11 @@ class _Rejected(Exception):
     """A traced polar proposal fell outside the unit disk."""
 
 
+def _flag_counts(results):
+    """How many of the CoreResults `results` raised each flag."""
+    return Counter(n for r in results for n, on in r.flags.items() if on)
+
+
 @dataclass
 class PipelineTrace:
     """Per-invocation record of core activity, and the evaluator that makes it.
@@ -272,19 +277,18 @@ class PipelineTrace:
 
     @property
     def flag_counts(self):
-        return Counter(n for r in self.results()
-                       for n, on in r.flags.items() if on)
+        return _flag_counts(self.results())
 
     def to_dict(self):
+        results = self.results()
         return {
             "records": [{"core": core,
                          "input_bits_hex": [_hex32(v) for v in inputs],
                          "output_bits_hex": _hex32(r.result),
                          "flags": {n: bool(on) for n, on in r.flags.items()}}
-                        for (core, inputs, _), r in zip(self.records,
-                                                        self.results())],
+                        for (core, inputs, _), r in zip(self.records, results)],
             "counts": dict(self.counts),
-            "flag_counts": dict(self.flag_counts),
+            "flag_counts": dict(_flag_counts(results)),
         }
 
 

@@ -20,6 +20,7 @@ from mpmath import cos as mcos, exp as mexp, log as mlog, sqrt as msqrt
 from mpmath import sin as msin
 
 import _fixtures
+from _fixtures import fixed_pairs, make_sources, ulps
 from grng import fp_pipeline as fp
 from grng import stats, transforms, urng
 
@@ -33,32 +34,6 @@ ALPHA = 0.05
 def report(num, ok, detail):
     print(f"\nACCEPTANCE {num} {'PASS' if ok else 'FAIL'}: {detail}")
     return ok
-
-
-def make_sources(master, count, order=32, taps=None):
-    taps = taps if taps is not None else urng.DEFAULT_POLYNOMIAL
-    seeds = urng.derive_seeds(master, count, order)
-    return [urng.new_lfsr(urng.LfsrConfig(order=order, taps=taps, seed=s))
-            for s in seeds]
-
-
-def fixed_pairs(n, master, cond):
-    state = master
-    out = []
-    while len(out) < n:
-        state, z1 = urng.splitmix64(state)
-        state, z2 = urng.splitmix64(state)
-        u1 = (z1 >> 11) * 2.0 ** -53
-        u2 = (z2 >> 11) * 2.0 ** -53
-        if 0.0 < u1 < 1.0 and 0.0 < u2 < 1.0 and cond(u1, u2):
-            out.append((u1, u2))
-    return out
-
-
-def ulps(a, b):
-    if a == b:
-        return 0.0
-    return abs(a - b) / math.ulp(abs(b) if b != 0 else abs(a))
 
 
 def test_criterion_1_table_decision_reproduction():

@@ -91,6 +91,13 @@ class TestSampleIo:
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(ParseError):
             read_samples(path)
+        # an unknown mode or format name is refused the same way
+        with pytest.raises(ParseError):
+            write_samples(path, [1.0], "bogus", "bin")
+        with pytest.raises(ParseError):
+            write_samples(path, [1.0], "reference", "xml")
+        with pytest.raises(ParseError):
+            read_samples(path, fmt="xml")
 
     def test_truncated_bin_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
@@ -209,6 +216,24 @@ class TestGen:
         assert meta["master_seed"] == 4
         assert meta["polynomial"] == "x^32+x^8+x^5+x^2+1"
         assert meta["uniforms_consumed"] == 2 * meta["pairs_proposed"]
+
+    @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
+    def test_sidecar_rebuilds_every_stream_config(self, tmp_path, monkeypatch,
+                                                  algo):
+        # the sidecar's LFSR entries with each of its lfsr_seeds give back
+        # the config that stream ran on
+        ran = []
+        new_lfsr = urng.new_lfsr
+        monkeypatch.setattr(urng, "new_lfsr",
+                            lambda cfg: ran.append(cfg) or new_lfsr(cfg))
+        out = tmp_path / "x.bin"
+        assert run("gen", "--algo", algo, "--k", "3", "--n", "50",
+                   "--shards", "2", "--poly", "x^16+x^15+x^13+x^4+1",
+                   "--seed", "8", "--out", str(out)) == 0
+        meta = read_sidecar(out)
+        assert len(meta["lfsr_seeds"]) == (6 if algo == "clt" else 4)
+        assert [urng.LfsrConfig.from_dict({**meta, "seed": s})
+                for s in meta["lfsr_seeds"]] == ran
 
     def test_gen_matches_library_stream(self, tmp_path):
         out = tmp_path / "lib.bin"
@@ -399,10 +424,14 @@ class TestGen:
             ("--seed", "-0x1", "--n", "10"),
             # refused before any allocation
             ("--n", str(1 << 60)),
+            # more streams than an order-2 register has nonzero seeds (3)
+            ("--algo", "clt", "--poly", "x^2+x+1", "--n", "1"),
+            ("--poly", "x^2+x+1", "--shards", "2", "--n", "4"),
         ]:
             assert run("gen", *argv, "--out", str(out)) == 1, argv
             assert_one_line_error(capsys.readouterr().err)
             assert not out.exists()
+            assert not sampleio.sidecar_path(out).exists()
         # the other generating commands parse the same flags
         for command, files in (("bench", ()), ("quadrature", ("--out", str(out)))):
             for argv in bounds:
@@ -474,11 +503,19 @@ class TestGen:
         assert proc.returncode == code
         assert_one_line_error(proc.stderr)
 
-    @pytest.mark.parametrize("poly", ["zz", "0xzz", "x^a+1", "x^+1"])
-    def test_malformed_polynomial_is_data_error(self, tmp_path, capsys, poly):
+    @pytest.mark.parametrize("poly", ["zz", "0xzz", "x^a+1", "x^+1",
+                                      "x^4+x^3"])
+    def test_malformed_polynomial_is_data_error(self, tmp_path, capsys,
+                                                monkeypatch, poly):
+        # refused before any seed is derived for it
+        def derive_seeds(*args):
+            raise AssertionError("seeds derived for a refused --poly")
+
+        monkeypatch.setattr(urng, "derive_seeds", derive_seeds)
         assert run("gen", "--poly", poly, "--n", "10",
                    "--out", str(tmp_path / "x.bin")) == 2
         assert_one_line_error(capsys.readouterr().err)
+        assert not (tmp_path / "x.bin").exists()
 
     def test_malformed_env_seed_is_usage_error(self, tmp_path, monkeypatch,
                                                capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st_
 from mpmath import mp, mpf
 from mpmath import cos as mcos, exp as mexp, log as mlog, pi as mpi, sin as msin
 
+from _fixtures import make_sources
 from grng import fp_pipeline as fp
 from grng import transforms, urng
 from grng.fp_pipeline import (
@@ -41,15 +42,6 @@ def from_bits(b):
 def round32_correct(mp_value):
     """Correctly rounded binary32 of an exact mpmath value (via float64)."""
     return np.float32(float(mp_value))
-
-
-def make_sources(master, count, order=32):
-    seeds = urng.derive_seeds(master, count, order)
-    return [
-        urng.new_lfsr(urng.LfsrConfig(order=order, taps=urng.DEFAULT_POLYNOMIAL,
-                                      seed=s))
-        for s in seeds
-    ]
 
 
 def fixed_f32_uniforms(n, master):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from grng import qkdmod, transforms, urng
+from _fixtures import make_sources
+from grng import qkdmod, transforms
 from grng.qkdmod import (
     ModulationConfig,
     SourceExhaustedError,
@@ -12,15 +13,6 @@ from grng.qkdmod import (
     pairs_to_json,
     quadrature_stream,
 )
-
-
-def make_sources(master, count, order=32):
-    seeds = urng.derive_seeds(master, count, order)
-    return [
-        urng.new_lfsr(urng.LfsrConfig(order=order, taps=urng.DEFAULT_POLYNOMIAL,
-                                      seed=s))
-        for s in seeds
-    ]
 
 
 class TestConfig:

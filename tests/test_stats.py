@@ -534,13 +534,10 @@ class TestBatteryBehavior:
 
 
 def _streamed(algo, mode, master, k=2):
-    from grng import transforms, urng
+    from grng import transforms
 
-    seeds = urng.derive_seeds(master, k, 32)
-    sources = [urng.new_lfsr(urng.LfsrConfig(
-        order=32, taps=urng.DEFAULT_POLYNOMIAL, seed=s)) for s in seeds]
-    return transforms.stream(algo, sources, 100_000, mode=mode,
-                             clt=transforms.CltConfig(k=k)).values
+    return transforms.stream(algo, _fixtures.make_sources(master, k), 100_000,
+                             mode=mode, clt=transforms.CltConfig(k=k)).values
 
 
 def _normals(n, master):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st_
 from mpmath import mp, mpf
 from mpmath import cos as mcos, log as mlog, sin as msin, sqrt as msqrt
 
+from _fixtures import fixed_pairs, make_sources, ulps
 from grng import transforms, urng
 from grng.transforms import (
     CltConfig,
@@ -20,34 +21,6 @@ from grng.transforms import (
 )
 
 mp.dps = 60
-
-
-def ulps(a, b):
-    if a == b:
-        return 0.0
-    return abs(a - b) / math.ulp(abs(b) if b != 0 else abs(a))
-
-
-def make_sources(master, count, order=32):
-    seeds = urng.derive_seeds(master, count, order)
-    return [
-        urng.new_lfsr(urng.LfsrConfig(order=order, taps=urng.DEFAULT_POLYNOMIAL,
-                                      seed=s))
-        for s in seeds
-    ]
-
-
-def fixed_uniform_pairs(n, master, cond=lambda a, b: True):
-    state = master
-    out = []
-    while len(out) < n:
-        state, z1 = urng.splitmix64(state)
-        state, z2 = urng.splitmix64(state)
-        u1 = (z1 >> 11) * 2.0 ** -53
-        u2 = (z2 >> 11) * 2.0 ** -53
-        if 0.0 < u1 < 1.0 and 0.0 < u2 < 1.0 and cond(u1, u2):
-            out.append((u1, u2))
-    return out
 
 
 class TestBoxMuller:
@@ -69,7 +42,7 @@ class TestBoxMuller:
 
     def test_pythagorean_identity(self):
         # both sides carry ~2 ulps of rounding of their own, so allow 4
-        for u1, u2 in fixed_uniform_pairs(500, 101):
+        for u1, u2 in fixed_pairs(500, 101):
             g = box_muller(u1, u2)
             assert ulps(g.alpha ** 2 + g.beta ** 2, -2.0 * math.log(u1)) <= 4.0
 
@@ -108,7 +81,7 @@ class TestPolar:
         assert polar(0.5, 0.5) is None
 
     def test_radial_ratio_preserved(self):
-        for u1, u2 in fixed_uniform_pairs(300, 202,
+        for u1, u2 in fixed_pairs(300, 202,
                                           lambda a, b: polar_draw(a, b).accepted):
             d = polar_draw(u1, u2)
             g = polar(u1, u2)
@@ -118,7 +91,7 @@ class TestPolar:
     def test_acceptance_fraction_matches_disk_area(self):
         n = 100_000
         accepted = sum(polar_draw(u1, u2).accepted
-                       for u1, u2 in fixed_uniform_pairs(n, 303))
+                       for u1, u2 in fixed_pairs(n, 303))
         p = math.pi / 4
         band = 4.0 * math.sqrt(p * (1 - p) / n)
         assert abs(accepted / n - p) < band

@@ -161,6 +161,8 @@ class TestConfig:
         assert LfsrConfig.from_dict(
             {"polynomial": "x^32+x^8+x^5+x^2+1", "seed": 99}) == cfg
         assert LfsrConfig.from_dict({"taps": "0x100000125", "seed": 99}) == cfg
+        with pytest.raises(BadPolynomialError):
+            LfsrConfig.from_dict({"seed": 1})
 
 
 class TestPolynomialStrings:
@@ -187,6 +189,8 @@ class TestPolynomialStrings:
             parse_polynomial("x^4+y+1")
         with pytest.raises(BadPolynomialError):
             parse_polynomial("")
+        with pytest.raises(BadPolynomialError):
+            polynomial_str(0)
 
     @pytest.mark.parametrize("poly", ["zz", "0xzz", "x^a+1", "x^+1", "x^-2+1"])
     def test_reject_malformed_numbers(self, poly):
@@ -454,6 +458,34 @@ class TestUniformSemantics:
         assert u.source_word == 1
         assert u.value == 2.0 ** -32
 
+    def test_all_ones_word_above_order_53_stays_below_one(self):
+        # 0xffffffffffffffff / 2^64 rounds to 1.0 in float64; both paths cap
+        # it at the largest float64 below 1
+        n = 64
+        taps = parse_polynomial(PRIMITIVE_BY_ORDER[n])
+        # the next word is GF(2)-linear in the register: reduce the images
+        # of the basis registers, then solve for the all-ones word
+        basis = {}  # top bit -> (image, register)
+        for j in range(n):
+            image, reg = LfsrState(LfsrConfig(n, taps, 1 << j)).next_word(), 1 << j
+            while image:
+                top = image.bit_length() - 1
+                if top not in basis:
+                    basis[top] = image, reg
+                    break
+                image, reg = image ^ basis[top][0], reg ^ basis[top][1]
+        assert len(basis) == n
+        ones = word = (1 << n) - 1
+        seed = 0
+        while word:
+            image, reg = basis[word.bit_length() - 1]
+            word, seed = word ^ image, seed ^ reg
+        cfg = LfsrConfig(order=n, taps=taps, seed=seed)
+        u = new_lfsr(cfg).next_uniform()
+        assert u.source_word == ones
+        assert u.value == np.nextafter(1.0, 0.0)
+        assert new_lfsr(cfg).uniforms(1)[0] == u.value
+
 
 class TestPrimitivity:
     def test_known_primitive(self):
@@ -650,6 +682,9 @@ class TestSeeding:
         assert sorted(derive_seeds(3, 15, 4)) == list(range(1, 16))
         with pytest.raises(ValueError):
             derive_seeds(3, 16, 4)
+        with pytest.raises(ValueError, match="^4 distinct seeds requested, but "
+                           "only 3 nonzero 2-bit seeds exist$"):
+            derive_seeds(3, 4, 2)
 
     def test_derive_seeds_small_order(self):
         seeds = derive_seeds(9, 10, 4)
