@@ -133,23 +133,22 @@ def _build_parser():
 
     test = sub.add_parser("test", help="run normality tests on a sample file")
     test.add_argument("input")
-    test.add_argument("--suite", default="chi2,ad,ks", type=_domain(
+    suite = ",".join(stats.TESTS)
+    test.add_argument("--suite", default=suite, type=_domain(
         lambda s: tuple(t.strip() for t in s.split(",") if t.strip()),
-        lambda t: t and set(t) <= {"chi2", "ad", "ks"},
-        "a comma-separated subset of chi2,ad,ks"))
+        lambda t: t and set(t) <= stats.TESTS.keys(),
+        f"a comma-separated subset of {suite}"))
     test.add_argument("--alpha", default=0.05,
                       type=_domain(float, lambda a: 0 < a < 1, "a number in (0, 1)"))
     test.add_argument("--bins", default=8,
                       type=_domain(int, lambda b: b >= 2, "an integer >= 2"),
                       help="equal-probability bins for the chi2 test")
-    test.add_argument("--format", choices=sampleio.FORMATS, default=None)
     test.add_argument("--out", default=None, help="write the report as JSON")
 
     hist = sub.add_parser("hist", help="histogram a sample file to CSV")
     hist.add_argument("input")
     hist.add_argument("--bins", default=100,
                       type=_domain(int, lambda b: b >= 1, "an integer >= 1"))
-    hist.add_argument("--format", choices=sampleio.FORMATS, default=None)
     hist.add_argument("--out", default=None, help="CSV path (default stdout)")
 
     bench = sub.add_parser("bench", help="compare algorithm throughput")
@@ -249,9 +248,7 @@ def _cmd_gen(args):
 
 def _render_report_table(reports):
     headers = ("Test", "Null Hypothesis", "P Value", "Test Statistic")
-    names = {"chi2": "Chi-Square", "ad": "Anderson-Darling",
-             "ks": "Kolmogorov-Smirnov"}
-    rows = [(names[r.test_name], r.null_hypothesis, r.p_display,
+    rows = [(stats.TESTS[r.test_name], r.null_hypothesis, r.p_display,
              f"{r.statistic:.6g}") for r in reports]
     widths = [max(len(h), *(len(row[i]) for row in rows))
               for i, h in enumerate(headers)]
@@ -262,7 +259,7 @@ def _render_report_table(reports):
 
 
 def _cmd_test(args):
-    values, _mode = sampleio.read_samples(args.input, fmt=args.format)
+    values, _mode = sampleio.read_samples(args.input)
     reports = stats.run_suite(values, suite=args.suite, alpha=args.alpha,
                               bins=args.bins)
     print(_render_report_table(reports))
@@ -279,7 +276,7 @@ def _cmd_test(args):
 def _cmd_hist(args):
     # float64 edges and int64 counts
     _check_memory(f"{args.bins} bins", 16 * args.bins)
-    values, _mode = sampleio.read_samples(args.input, fmt=args.format)
+    values, _mode = sampleio.read_samples(args.input)
     hist = stats.build_histogram(values, bins=args.bins)
     csv = hist.to_csv()
     if args.out:

@@ -12,6 +12,9 @@ sequence:
   "values" must be a flat list of numbers, and "count", when present,
   must equal its length.
 
+`read_samples` takes the format from the bytes alone, never the name: the
+"GRNG" magic is bin, a leading "{" is json, and anything else is csv.
+
 Every generated sample file gets a sidecar metadata record at
 "<path>.meta.json" describing the full generation config and the uniform
 consumption, so runs are reproducible from the artifact alone.
@@ -86,20 +89,9 @@ def write_samples(path, values, mode, fmt):
     return path
 
 
-def _detect_format(path, data):
-    suffix = path.suffix.lower().lstrip(".")
-    if suffix in FORMATS:
-        return suffix
-    if data[:4] == MAGIC:
-        return "bin"
-    head = data[:64].lstrip()
-    return "json" if head[:1] == b"{" else "csv"
+def read_samples(path):
+    """Read a sample file of any format; returns (values, mode or None).
 
-
-def read_samples(path, fmt=None):
-    """Read a sample file; returns (values, mode or None).
-
-    Format is taken from `fmt`, else the file extension, else sniffed.
     csv files carry no mode, so mode comes back None for them.
     """
     path = Path(path)
@@ -107,9 +99,8 @@ def read_samples(path, fmt=None):
         data = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    fmt = fmt or _detect_format(path, data)
-    if fmt == "bin":
-        if len(data) < 16 or data[:4] != MAGIC:
+    if data[:4] == MAGIC:
+        if len(data) < 16:
             raise ParseError(f"{path} is not a GRNG binary sample file")
         mode_code, count = struct.unpack("<IQ", data[4:16])
         if mode_code not in _MODE_NAMES:
@@ -121,7 +112,7 @@ def read_samples(path, fmt=None):
                              f"has {len(data) - 16} bytes")
         values = np.frombuffer(data, dtype, offset=16)
         return values.astype(np.float64, copy=False), mode
-    if fmt == "json":
+    if data[:64].lstrip()[:1] == b"{":
         try:
             doc = json.loads(data)
             raw = doc["values"]
@@ -135,13 +126,11 @@ def read_samples(path, fmt=None):
         if count != values.size:
             raise ParseError(f"{path}: header claims {count} values, found {values.size}")
         return values, doc.get("mode")
-    if fmt == "csv":
-        try:
-            values = np.fromiter(map(float, data.decode().split()), np.float64)
-        except ValueError as exc:
-            raise ParseError(f"{path} is not a sample csv: {exc}") from exc
-        return values, None
-    raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    try:
+        values = np.fromiter(map(float, data.decode().split()), np.float64)
+    except ValueError as exc:
+        raise ParseError(f"{path} is not a sample csv: {exc}") from exc
+    return values, None
 
 
 def sidecar_path(path):

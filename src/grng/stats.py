@@ -57,6 +57,7 @@ __all__ = [
     "InsufficientSampleError",
     "Moments",
     "NonFiniteSampleError",
+    "TESTS",
     "TestReport",
     "anderson_darling",
     "build_histogram",
@@ -86,7 +87,9 @@ class NonFiniteSampleError(ValueError):
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _STANDARD_NORMAL = NormalDist()
-_TESTS = ("chi2", "ad", "ks")
+#: The battery in report order: each test's `--suite` name and its title.
+TESTS = {"chi2": "Chi-Square", "ad": "Anderson-Darling",
+         "ks": "Kolmogorov-Smirnov"}
 _BLOCK = 1 << 16
 
 
@@ -484,18 +487,18 @@ def moments(samples):
     return Moments(mean, variance, m3 / m2 ** 1.5, m4 / (m2 * m2) - 3.0)
 
 
-def run_suite(samples, suite=("chi2", "ad", "ks"), alpha=0.05, bins=8):
+def run_suite(samples, suite=tuple(TESTS), alpha=0.05, bins=8):
     """Run the requested subset of tests, in canonical chi2/ad/ks order.
 
     One sorted copy of the sample feeds every test, and AD and KS share
     one tail pass over it.  Sample-size checks run first, in canonical
     order, so the error does not depend on the order the tests compute in.
     """
-    unknown = [name for name in suite if name not in _TESTS]
+    unknown = [name for name in suite if name not in TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {unknown}; expected subset of "
-                         f"{sorted(_TESTS)}")
-    wanted = [name for name in _TESTS if name in suite]
+                         f"{sorted(TESTS)}")
+    wanted = [name for name in TESTS if name in suite]
     if not wanted:
         return []
     xs = _as_sample(samples)

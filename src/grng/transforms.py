@@ -1,7 +1,8 @@
 """The three uniform-to-Gaussian transform algorithms.
 
-Each algorithm consumes uniforms from the open interval (0, 1) and emits
-standard-normal values:
+Each algorithm turns uniforms into standard-normal values.  The uniforms
+lie in the open interval (0, 1) in float64 and in (0, 1] in binary32,
+whose rounding can reach 1.0f: every order-32 word >= 2^32 - 2^7 does.
 
 * ``box-muller`` -- radius sqrt(-2 ln u1) and angle 2*pi*u2 give an exact
   pair per two uniforms.

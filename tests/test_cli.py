@@ -96,8 +96,6 @@ class TestSampleIo:
             write_samples(path, [1.0], "bogus", "bin")
         with pytest.raises(ParseError):
             write_samples(path, [1.0], "reference", "xml")
-        with pytest.raises(ParseError):
-            read_samples(path, fmt="xml")
 
     def test_truncated_bin_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
@@ -116,8 +114,9 @@ class TestSampleIo:
         with pytest.raises(ParseError):
             read_samples(path)
 
-    @pytest.mark.parametrize("name", sorted(n for n in BAD_INPUTS
-                                            if n.endswith(".json")))
+    # json by content: an empty file, whatever its name, is a csv of no values
+    @pytest.mark.parametrize("name", sorted(n for n, data in BAD_INPUTS.items()
+                                            if data[:1] == b"{"))
     def test_malformed_json_rejected(self, tmp_path, capsys, name):
         path = tmp_path / name
         path.write_bytes(BAD_INPUTS[name])
@@ -664,6 +663,34 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys, command, name):
     assert_one_line_error(capsys.readouterr().err)
 
 
+def _read_back(tmp_path, capsys, path):
+    """`read_samples`, `test`'s table and report and `hist`'s csv of path."""
+    report, hist = tmp_path / "report.json", tmp_path / "hist.csv"
+    capsys.readouterr()
+    assert run("test", str(path), "--out", str(report)) == 0
+    assert run("hist", str(path), "--out", str(hist)) == 0
+    doc = json.loads(report.read_text())
+    # the report names its input; all else must not depend on the name
+    assert doc.pop("input") == str(path)
+    values, mode = read_samples(path)
+    return values.tobytes(), mode, capsys.readouterr().out, doc, hist.read_bytes()
+
+
+@pytest.mark.parametrize("fmt, name", [
+    (fmt, f"y.{suffix}" if suffix else "y")
+    for fmt in sampleio.FORMATS for suffix in (*sampleio.FORMATS, "")
+    if suffix != fmt])
+def test_format_is_read_from_bytes_not_name(tmp_path, capsys, fmt, name):
+    """A `gen --format fmt` file reads back the same under any name."""
+    own, other = tmp_path / f"x.{fmt}", tmp_path / name
+    for out in (own, other):
+        assert run("gen", "--n", "200", "--seed", "4", "--format", fmt,
+                   "--out", str(out)) == 0
+    assert other.read_bytes() == own.read_bytes()
+    assert (_read_back(tmp_path, capsys, other)
+            == _read_back(tmp_path, capsys, own))
+
+
 class TestHistCommand:
     def test_matches_library_histogram(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
@@ -726,6 +753,16 @@ class TestBenchCommand:
     @pytest.mark.parametrize("flag", [["--out", "x.bin"], ["--format", "csv"]])
     def test_output_flags_are_usage_errors(self, flag):
         assert run("bench", "--n", "10", *flag) == 1
+
+
+@pytest.mark.parametrize("argv", [["test", "--format", "csv"],
+                                  ["hist", "--format", "bin"]])
+def test_format_flag_of_readers_is_usage_error(tmp_path, capsys, argv):
+    """test and hist read a file's format from its bytes: no flag sets it."""
+    src = tmp_path / "s.csv"
+    write_samples(src, np.arange(60.0), "reference", "csv")
+    assert run(argv[0], str(src), *argv[1:]) == 1
+    assert_one_line_error(capsys.readouterr().err)
 
 
 class TestQuadratureCommand:

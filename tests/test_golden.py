@@ -2,10 +2,10 @@
 
 Pins the bytes of every algorithm x mode x format (sample file and its
 .meta.json sidecar) at N = 10^4, seed 1.  At this size the LFSR's
-lane-parallel `words` cuts each source's block into 2500-3334 lanes of 2
-or 3 words (5000 words for box-muller, 6251 for polar, 10000 for each clt
-summand), and the polar top-up blocks of 256 words into 256 lanes of one
-word.  A change to any of these hashes is a change of output bytes and
+lane-parallel `words` cuts each source's block into lanes of up to 32
+words: 157 lanes for box-muller's 5000 words per source, 196 for polar's
+6251 and 313 for each clt summand's 10 000.  Each of polar's 256-word
+top-ups gives 8 lanes.  A change to any of these hashes is a change of output bytes and
 must be called out as such.
 """
 
