@@ -88,8 +88,7 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _STANDARD_NORMAL = NormalDist()
 #: The battery in report order: each test's `--suite` name and its title.
-TESTS = {"chi2": "Chi-Square", "ad": "Anderson-Darling",
-         "ks": "Kolmogorov-Smirnov"}
+TESTS = {"chi2": "Chi-Square", "ad": "Anderson-Darling", "ks": "Kolmogorov-Smirnov"}
 _BLOCK = 1 << 16
 
 

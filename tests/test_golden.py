@@ -5,8 +5,8 @@ Pins the bytes of every algorithm x mode x format (sample file and its
 lane-parallel `words` cuts each source's block into lanes of up to 32
 words: 157 lanes for box-muller's 5000 words per source, 196 for polar's
 6251 and 313 for each clt summand's 10 000.  Each of polar's 256-word
-top-ups gives 8 lanes.  A change to any of these hashes is a change of output bytes and
-must be called out as such.
+top-ups gives 8 lanes.  A change to any of these hashes is a change of
+output bytes and must be called out as such.
 """
 
 import contextlib
