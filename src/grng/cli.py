@@ -198,7 +198,7 @@ def _generate(args, algo, count):
     lfsr = urng.LfsrConfig.from_polynomial(args.poly or urng.DEFAULT_POLYNOMIAL,
                                            seed=1)
     clt = transforms.CltConfig(k=args.k)
-    per_shard = clt.k if algo == "clt" else 2  # LFSR streams per shard
+    per_shard = transforms.arity(algo, clt.k)  # LFSR streams per shard
     # shards beyond the n-th would be empty: seeds go only to those that run
     shards = min(args.shards, count)
     try:

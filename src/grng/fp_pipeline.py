@@ -40,7 +40,8 @@ adds two evaluators to the float64 reference one:
 
 The batch generator is therefore bit-identical to chaining `run_graph`
 calls by construction, and the per-pass invocation counts
-(`expected_core_counts`) come from tracing one pass: box-muller uses LOG,
+(`expected_core_counts`) come from tracing one pass of
+`transforms.arity(algo, k)` inputs: box-muller uses LOG,
 SQRT, SIN, COS and four multipliers; polar uses LOG, SQRT, DIV, five
 multipliers and one adder per accepted pair; clt uses SQRT, DIV, two
 multipliers and one adder beyond the k-1 additions that accumulate the
@@ -85,8 +86,8 @@ _quiet = functools.partial(np.errstate, all="ignore")
 _FLAGS = ("zero", "nan", "overflow", "underflow")
 
 
-class ArityMismatchError(ValueError):
-    """Input count does not match the architecture graph."""
+#: The old name of `transforms.LengthMismatchError`, kept for importers.
+ArityMismatchError = transforms.LengthMismatchError
 
 
 _BIG_ENDIAN = slice(None, None, -1 if np.little_endian else 1)
@@ -110,6 +111,11 @@ class CoreResult(NamedTuple):
         return dict(zip(_FLAGS, self[1:]))
 
 
+def _in_double(op):
+    """A LOG/SIN/COS result: `op` in double precision, rounded once to binary32."""
+    return staticmethod(lambda x: np.float32(op(np.float64(x))))
+
+
 class Binary32(transforms.Float64):
     """Pipeline evaluator: the core results on whole binary32 batches.
 
@@ -118,18 +124,7 @@ class Binary32(transforms.Float64):
 
     mode = "pipeline"
     dtype = np.float32
-
-    @staticmethod
-    def log(x):
-        return np.float32(np.log(np.float64(x)))
-
-    @staticmethod
-    def sin(x):
-        return np.float32(np.sin(np.float64(x)))
-
-    @staticmethod
-    def cos(x):
-        return np.float32(np.cos(np.float64(x)))
+    log, sin, cos = _in_double(np.log), _in_double(np.sin), _in_double(np.cos)
 
     @staticmethod
     def core_counts(algo, k, accepted, rejected):
@@ -314,20 +309,17 @@ def run_graph(algo, inputs, *, k=None):
     """Evaluate one architecture graph on binary32 inputs.
 
     Returns (outputs, trace).  Inputs: (u1, u2) for box-muller, disk
-    coordinates (v1, v2) for polar, k uniforms for clt.  A rejected polar
-    proposal returns no outputs and a trace holding only the two squaring
-    multipliers and the adder that computed s.
+    coordinates (v1, v2) for polar, k uniforms for clt (k defaults to their
+    count); any other count raises `transforms.LengthMismatchError`.  A
+    rejected polar proposal returns no outputs and a trace holding only the
+    two squaring multipliers and the adder that computed s.
     """
     t = PipelineTrace()
     xs = list(map(np.float32, inputs))
-    if algo not in transforms.ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    if algo == "clt":
-        kk = k if k is not None else len(xs)
-        if len(xs) != kk or kk < 2:
-            raise ArityMismatchError(f"clt graph takes k={kk} inputs, got {len(xs)}")
-    elif len(xs) != 2:
-        raise ArityMismatchError(f"{algo} graph takes 2 inputs")
+    n = transforms.arity(algo, len(xs) if k is None else k)
+    if len(xs) != n or n < 2:
+        raise transforms.LengthMismatchError(
+            f"{algo} graph takes {n} inputs, got {len(xs)}")
     try:
         with _quiet():
             outputs = transforms.ARCHITECTURES[algo](t, xs)
@@ -338,22 +330,17 @@ def run_graph(algo, inputs, *, k=None):
 
 @functools.lru_cache
 def _traced_counts(algo, k, accepted):
-    if algo == "clt":
-        inputs = [0.5] * k
-    else:  # (1, 1) lies outside the polar disk
-        inputs = [0.5, 0.5] if accepted else [1.0, 1.0]
-    _, trace = run_graph(algo, inputs)
+    # (1, 1) lies outside the polar disk; the other graphs accept every input
+    _, trace = run_graph(algo, [0.5 if accepted else 1.0] * transforms.arity(algo, k))
     return tuple(trace.counts.items())
 
 
 def expected_core_counts(algo, *, k=12, accepted=True):
     """Invocation counts of one graph pass (one pair, or one value),
     traced from one pass of the architecture's definition."""
-    return dict(_traced_counts(algo, k if algo == "clt" else 0,
-                               accepted or algo != "polar"))
+    return dict(_traced_counts(algo, k, accepted))
 
 
-def pipeline_stream(algo, sources, count, *, clt=None):
+def pipeline_stream(algo, sources, count, *, clt):
     """Batch pipeline-mode generation; see transforms.stream for the contract."""
-    return transforms.evaluate(Binary32, algo, sources, count,
-                               clt or transforms.CltConfig())
+    return transforms.evaluate(Binary32, algo, sources, count, clt)

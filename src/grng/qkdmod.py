@@ -35,14 +35,15 @@ class SourceExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModulationConfig:
-    """Modulation variance V > 0 and the number of pairs to prepare."""
+    """Finite modulation variance V > 0 and the number of pairs to prepare."""
 
     variance: float
     count: int
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not 0 < self.variance < math.inf:
+            raise ValueError(
+                f"variance must be positive and finite, got {self.variance}")
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
 
@@ -62,11 +63,7 @@ def quadrature_stream(source, config):
         raise SourceExhaustedError(
             f"need {needed} source values for {config.count} pairs, got {g.size}"
         )
-    scale = math.sqrt(config.variance)
-    out = np.empty((config.count, 2), dtype=np.float64)
-    out[:, 0] = scale * g[0:needed:2]
-    out[:, 1] = scale * g[1:needed:2]
-    return out
+    return math.sqrt(config.variance) * g[:needed].reshape(-1, 2)
 
 
 def pairs_to_csv(pairs):
@@ -79,5 +76,5 @@ def pairs_to_csv(pairs):
 
 
 def pairs_to_json(pairs):
-    return json.dumps([{"q": float(q), "p": float(p)}
-                       for q, p in np.asarray(pairs)])
+    return json.dumps([{"q": q, "p": p}
+                       for q, p in np.asarray(pairs, dtype=np.float64).tolist()])

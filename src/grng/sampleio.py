@@ -114,13 +114,13 @@ def read_samples(path):
         return values.astype(np.float64, copy=False), mode
     if data[:64].lstrip()[:1] == b"{":
         try:
-            doc = json.loads(data)
+            doc = json.loads(data)  # RecursionError past its nesting limit
             raw = doc["values"]
             # exact types: a bool, null, string or list is not a sample
             if not isinstance(raw, list) or not {*map(type, raw)} <= {int, float}:
                 raise ValueError('"values" is not a flat list of numbers')
             values = np.asarray(raw, dtype=np.float64)
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
             raise ParseError(f"{path} is not a GRNG json sample file: {exc}") from exc
         count = doc.get("count", values.size)
         if count != values.size:

@@ -21,6 +21,8 @@ written once, in `ARCHITECTURES`, as a function of an evaluator that
 supplies log, sin, cos, sqrt, mul, add and div: `Float64` here (reference
 mode), and the binary32 and traced binary32 evaluators of `fp_pipeline`.
 `evaluate` is the one batch driver of both modes, and `stream` its entry.
+`arity` owns the number of uniforms one pass reads, which sizes the sources
+here, the traced passes of `fp_pipeline` and the LFSR streams of `cli`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "LengthMismatchError",
     "PolarDraw",
     "StreamResult",
+    "arity",
     "box_muller",
     "central_limit",
     "evaluate",
@@ -61,7 +64,7 @@ class DomainError(ValueError):
 
 
 class LengthMismatchError(ValueError):
-    """Uniform vector length does not match the configured k."""
+    """Uniform count does not match what one pass of the algorithm reads."""
 
 
 @dataclass(frozen=True)
@@ -209,6 +212,13 @@ ARCHITECTURES = {"box-muller": _box_muller, "polar": _polar, "clt": _clt}
 ALGORITHMS = tuple(ARCHITECTURES)
 
 
+def arity(algo, k):
+    """Uniforms one pass of `algo` reads: k for clt, 2 otherwise."""
+    if algo not in ARCHITECTURES:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    return k if algo == "clt" else 2
+
+
 class Float64:
     """Reference evaluator: numpy float64 operations on whole batches."""
 
@@ -255,14 +265,12 @@ def evaluate(ev, algo, sources, count, clt):
 
     The batch driver of both modes; see `stream` for the contract.
     """
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    n = arity(algo, clt.k)
     if count < 0:
         raise ValueError("count must be >= 0")
-    arity = clt.k if algo == "clt" else 2
-    if len(sources) != arity:
+    if len(sources) != n:
         raise LengthMismatchError(
-            f"{algo} needs {arity} uniform sources, got {len(sources)}")
+            f"{algo} needs {n} uniform sources, got {len(sources)}")
     width = 1 if algo == "clt" else 2
     graph = ARCHITECTURES[algo]
     one, two = ev.dtype(1.0), ev.dtype(2.0)
@@ -284,7 +292,7 @@ def evaluate(ev, algo, sources, count, clt):
     values = np.concatenate(chunks) if len(chunks) > 2 else chunks[-1]
     polar = algo == "polar"
     return StreamResult(
-        values=values[:count], uniforms_consumed=arity * proposed,
+        values=values[:count], uniforms_consumed=n * proposed,
         algorithm=algo, mode=ev.mode,
         pairs_proposed=proposed if polar else 0,
         pairs_accepted=accepted if polar else 0,

@@ -141,6 +141,9 @@ _MERSENNE_FACTORS = {
     64: (3, 5, 17, 257, 641, 65537, 6700417),
 }
 
+#: Largest register order: its words fit a uint64.
+_MAX_ORDER = 64
+
 #: Characteristic polynomial used by the reference hardware design,
 #: x^32 + x^8 + x^5 + x^2 + 1 (primitive; period 2**32 - 1).
 DEFAULT_POLYNOMIAL = (1 << 32) | (1 << 8) | (1 << 5) | (1 << 2) | 1
@@ -151,6 +154,7 @@ def parse_polynomial(poly):
 
     Bit i of the result is the coefficient of x^i.  Both serialized forms
     ("0x100000125" and "x^32+x^8+x^5+x^2+1") are accepted interchangeably.
+    A term above x^64, or one written twice (it cancels over GF(2)), is refused.
     """
     if isinstance(poly, int):
         return poly
@@ -164,14 +168,16 @@ def parse_polynomial(poly):
             raise BadPolynomialError(f"cannot parse tap mask {s!r}") from None
     taps = 0
     for term in s.split("+"):
-        if term in ("1", "x^0"):
-            taps |= 1
-        elif term == "x":
-            taps |= 2
-        elif term.startswith("x^") and term[2:].isdecimal():
-            taps |= 1 << int(term[2:])
-        else:
+        digits = {"1": "0", "x": "1"}.get(term, term[2:] if term[:2] == "x^" else "")
+        if not digits.isdecimal():
             raise BadPolynomialError(f"cannot parse polynomial term {term!r}")
+        # so long an exponent is past any order; int() refuses over 4300 digits
+        e = int(digits) if len(digits) < 20 else math.inf
+        if e > _MAX_ORDER:
+            raise BadPolynomialError(f"term {term!r} is above x^{_MAX_ORDER}")
+        if taps >> e & 1:
+            raise BadPolynomialError(f"term {term!r} is repeated")
+        taps |= 1 << e
     return taps
 
 
@@ -199,8 +205,9 @@ class LfsrConfig:
     seed: int
 
     def __post_init__(self):
-        if not 2 <= self.order <= 64:
-            raise BadPolynomialError(f"order must be in [2, 64], got {self.order}")
+        if not 2 <= self.order <= _MAX_ORDER:
+            raise BadPolynomialError(
+                f"order must be in [2, {_MAX_ORDER}], got {self.order}")
         if self.taps < 0 or self.taps.bit_length() - 1 != self.order:
             raise BadPolynomialError(
                 f"tap mask {self.taps:#x} is not degree {self.order}"

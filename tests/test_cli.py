@@ -48,6 +48,8 @@ BAD_INPUTS = {
     "string-item.json": b'{"values": [1.0, "2.0"]}',
     "bool-item.json": b'{"values": [1.0, true]}',
     "count.json": b'{"count": 10, "values": [1.0, 2.0]}',
+    # nested past json.loads' recursion limit
+    "deep.json": b'{"values": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
     "empty.bin": b"",
     "empty.csv": b"",
     "empty.json": b"",
@@ -233,6 +235,14 @@ class TestGen:
         assert len(meta["lfsr_seeds"]) == (6 if algo == "clt" else 4)
         assert [urng.LfsrConfig.from_dict({**meta, "seed": s})
                 for s in meta["lfsr_seeds"]] == ran
+
+    @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
+    def test_sidecar_holds_arity_seeds_per_shard(self, tmp_path, algo):
+        out = tmp_path / "x.bin"
+        assert run("gen", "--algo", algo, "--k", "5", "--n", "30",
+                   "--shards", "3", "--seed", "4", "--out", str(out)) == 0
+        assert read_sidecar(out)["lfsr_seeds"] == urng.derive_seeds(
+            4, 3 * transforms.arity(algo, 5), 32)
 
     def test_gen_matches_library_stream(self, tmp_path):
         out = tmp_path / "lib.bin"
@@ -502,8 +512,13 @@ class TestGen:
         assert proc.returncode == code
         assert_one_line_error(proc.stderr)
 
-    @pytest.mark.parametrize("poly", ["zz", "0xzz", "x^a+1", "x^+1",
-                                      "x^4+x^3"])
+    @pytest.mark.parametrize("poly", [
+        "zz", "0xzz", "x^a+1", "x^+1", "x^4+x^3",
+        # above the largest order: refused before 1 << e is formed
+        "x^99999999999999999999+1",
+        pytest.param("x^" + "9" * 5000 + "+1", id="x^(5000 digits)+1"),
+        # a repeated term would cancel over GF(2)
+        "x^3+x^2+x^2+1", "x^4+x^1+x+1"])
     def test_malformed_polynomial_is_data_error(self, tmp_path, capsys,
                                                 monkeypatch, poly):
         # refused before any seed is derived for it

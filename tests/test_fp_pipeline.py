@@ -414,6 +414,17 @@ class TestRunGraph:
             run_graph("clt", [F(0.5)] * 5, k=12)
         with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
             run_graph("bogus", [F(0.5)] * 2)
+        # the old name of the one wrong-count class; arity inputs, no more or fewer
+        assert ArityMismatchError is transforms.LengthMismatchError
+        for algo in transforms.ALGORITHMS:
+            for k in (2, 5, 12):
+                n = transforms.arity(algo, k)
+                outs, t = run_graph(algo, [F(0.5)] * n, k=k)
+                assert len(outs) == (1 if algo == "clt" else 2)
+                assert dict(t.counts) == expected_core_counts(algo, k=k)
+                for wrong in (n - 1, n + 1):
+                    with pytest.raises(transforms.LengthMismatchError):
+                        run_graph(algo, [F(0.5)] * wrong, k=k)
 
     def test_uniform_exactly_one_is_benign(self):
         # binary32 rounding can turn a large word into u = 1.0; the graph

@@ -21,6 +21,9 @@ class TestConfig:
             ModulationConfig(variance=0.0, count=1)
         with pytest.raises(ValueError):
             ModulationConfig(variance=-2.0, count=1)
+        for v in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ModulationConfig(variance=v, count=1)
 
     def test_count_must_be_nonnegative(self):
         with pytest.raises(ValueError):

@@ -225,6 +225,21 @@ class TestStream:
             with pytest.raises(LengthMismatchError):
                 stream("clt", make_sources(1, 5), 10, mode=mode,
                        clt=CltConfig(k=12))
+        # one source per uniform a pass reads: arity of them, no more or fewer
+        for algo in transforms.ALGORITHMS:
+            for k in (2, 5, 12):
+                n = transforms.arity(algo, k)
+                assert n == (k if algo == "clt" else 2)
+                for mode in ("reference", "pipeline"):
+                    res = stream(algo, make_sources(3, n), 5, mode=mode,
+                                 clt=CltConfig(k=k))
+                    assert res.values.size == 5
+                    for wrong in (n - 1, n + 1):
+                        with pytest.raises(LengthMismatchError):
+                            stream(algo, make_sources(3, wrong), 5, mode=mode,
+                                   clt=CltConfig(k=k))
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            transforms.arity("bogus", 12)
 
     def test_moments_sane_at_medium_n(self):
         res = stream("box-muller", make_sources(21, 2), 200_000)
