@@ -195,8 +195,8 @@ def _generate(args, algo, count):
     # every mode holds at least 8 bytes per sample
     _check_memory(f"{count} samples", 8 * count)
     # a bad polynomial is refused here, before any seed is derived for it
-    lfsr = urng.LfsrConfig.from_polynomial(args.poly or urng.DEFAULT_POLYNOMIAL,
-                                           seed=1)
+    poly = urng.DEFAULT_POLYNOMIAL if args.poly is None else args.poly
+    lfsr = urng.LfsrConfig.from_polynomial(poly, seed=1)
     clt = transforms.CltConfig(k=args.k)
     per_shard = transforms.arity(algo, clt.k)  # LFSR streams per shard
     # shards beyond the n-th would be empty: seeds go only to those that run

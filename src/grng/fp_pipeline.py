@@ -34,9 +34,10 @@ adds two evaluators to the float64 reference one:
 * `Binary32` -- the core results on whole batches, without flags; the
   batch generator `pipeline_stream` runs it.
 * `PipelineTrace`, the evaluator of `run_graph` -- a batch of one that
-  runs `Binary32`'s operations and records each invocation's raw inputs
-  and result.  Its flags are formed only when they are read, by the rule
-  each public `core_*` applies to its own result.
+  runs `Binary32`'s operations and logs each invocation's core, result
+  and raw operands flat in one list.  Its (core, inputs, result) records
+  and their flags are formed only when they are read, the flags by the
+  rule each public `core_*` applies to its own result.
 
 The batch generator is therefore bit-identical to chaining `run_graph`
 calls by construction, and the per-pass invocation counts
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -183,10 +183,15 @@ def _flagged(core, xs, r):
     return CoreResult(r, *_CORES[core][1](xs, r))
 
 
+def _binary32(xs):
+    """Operands `xs` as binary32 scalars; those that already are are kept."""
+    return [x if type(x) is np.float32 else np.float32(x) for x in xs]
+
+
 def _run_core(core, *xs):
     """A public core: its result and flags on binary32 operands, in one errstate."""
     with _quiet():
-        xs = [np.float32(x) for x in xs]
+        xs = _binary32(xs)
         return _flagged(core, xs, _CORES[core][0](*xs))
 
 
@@ -239,27 +244,40 @@ def _flag_counts(results):
     return Counter(n for r in results for n, on in r.flags.items() if on)
 
 
-@dataclass
 class PipelineTrace:
     """Per-invocation record of core activity, and the evaluator that makes it.
 
     As the evaluator of one `run_graph` pass, a trace runs `Binary32`'s
-    operations and appends each invocation's raw (core, inputs, result) to
-    `records`.  Counts and flags are formed from the records when read:
-    `results`, `flag_counts` and `to_dict` apply each core's flag rule,
-    the rule the public `core_*` functions apply.  `to_dict` renders the
-    records with hex bit patterns and per-record flags.  Traces are plain
-    per-call values and are never shared between graph invocations.
+    operations and appends each invocation flat to one list, four entries
+    per invocation: core, result, first operand, second operand (None for
+    the one-operand cores).  However long, a retained trace is two
+    GC-tracked objects, itself and that list.  The rest is formed when read:
+    `records` rebuilds the (core, inputs, result) tuples, and `results`,
+    `flag_counts` and `to_dict` apply each core's flag rule, the rule the
+    public `core_*` functions apply.  `to_dict` renders the records with
+    hex bit patterns and per-record flags.  Traces are plain per-call
+    values and are never shared between graph invocations.
     """
 
-    records: list = field(default_factory=list)
-    dtype = np.float32
+    __slots__ = ("_log",)
+    # the architectures' constants, made once per value (none is a signed
+    # zero, which would share a cache key with its opposite)
+    dtype = staticmethod(functools.cache(np.float32))
+
+    def __init__(self):
+        self._log = []
 
     @staticmethod
     def accept(keep, *xs):
         if not keep:
             raise _Rejected
         return xs
+
+    @property
+    def records(self):
+        """The (core, inputs, result) of each invocation, in order."""
+        return [(core, (a,) if b is None else (a, b), r)
+                for core, r, a, b in zip(*[iter(self._log)] * 4)]
 
     def results(self):
         """The CoreResult of each record, its flags formed now."""
@@ -268,7 +286,7 @@ class PipelineTrace:
 
     @property
     def counts(self):
-        return Counter(core for core, _, _ in self.records)
+        return Counter(self._log[::4])
 
     @property
     def flag_counts(self):
@@ -288,10 +306,10 @@ class PipelineTrace:
 
 
 def _recorded(core, op):
-    """Evaluator operation `core`: `op`, recorded in the trace."""
-    def recorded(self, *xs):
-        r = op(*xs)
-        self.records.append((core, xs, r))
+    """Evaluator operation `core`: `op`, logged flat in the trace."""
+    def recorded(self, a, b=None):
+        r = op(a) if b is None else op(a, b)
+        self._log.extend((core, r, a, b))
         return r
     return recorded
 
@@ -315,7 +333,7 @@ def run_graph(algo, inputs, *, k=None):
     two squaring multipliers and the adder that computed s.
     """
     t = PipelineTrace()
-    xs = list(map(np.float32, inputs))
+    xs = _binary32(inputs)
     n = transforms.arity(algo, len(xs) if k is None else k)
     if len(xs) != n or n < 2:
         raise transforms.LengthMismatchError(

@@ -513,7 +513,8 @@ class TestGen:
         assert_one_line_error(proc.stderr)
 
     @pytest.mark.parametrize("poly", [
-        "zz", "0xzz", "x^a+1", "x^+1", "x^4+x^3",
+        # an empty --poly is not the default polynomial
+        "", "zz", "0xzz", "x^a+1", "x^+1", "x^4+x^3",
         # above the largest order: refused before 1 << e is formed
         "x^99999999999999999999+1",
         pytest.param("x^" + "9" * 5000 + "+1", id="x^(5000 digits)+1"),

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -756,3 +757,64 @@ class TestDeferredFlags:
             run_graph(algo, xs)
         assert first.to_dict() == doc
         assert dict(first.flag_counts) == doc["flag_counts"]
+
+
+class TestOperandBoxing:
+    """Operands of any number type run as np.float32(x) would; 0.1 rounds."""
+
+    BOXES = [float, int, np.float64, F]
+
+    @staticmethod
+    def rows(box, n):
+        values = [1, 0] if box is int else [0.1, 0.7, -0.3]
+        return [[box(values[(i + j) % len(values)]) for j in range(n)]
+                for i in range(len(values))]
+
+    @pytest.mark.parametrize("box", BOXES, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
+    def test_graph_inputs(self, algo, box):
+        for row in self.rows(box, transforms.arity(algo, 12)):
+            outs, t = run_graph(algo, row)
+            want_outs, want = run_graph(algo, [F(x) for x in row])
+            assert [bits_of(v) for v in outs] == [bits_of(v) for v in want_outs]
+            assert t.to_dict() == want.to_dict()
+            assert {type(x) for _, ins, r in t.records for x in (*ins, r)} == {F}
+            # a binary32 operand is used as it is, not boxed again
+            assert (t.records[0][1][0] is row[0]) == (box is F)
+
+    @pytest.mark.parametrize("box", BOXES, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("core", sorted(CORE_FNS))
+    def test_core_operands(self, core, box):
+        arity = 2 if core in ("div", "mul", "add") else 1
+        for row in self.rows(box, arity):
+            got, want = CORE_FNS[core](*row), CORE_FNS[core](*map(F, row))
+            assert type(got.result) is F
+            TestDeferredFlags.assert_same(got, want)
+
+
+class TestGcBudget:
+    """A retained traced pass holds four GC-tracked objects, whatever its
+    core count: the (outputs, trace) tuple, the output list, the trace and
+    its log."""
+
+    PASSES = 300
+
+    @pytest.mark.parametrize("algo,k,x", [
+        ("box-muller", 2, 0.3), ("polar", 2, 0.3), ("polar", 2, 0.9),
+        ("clt", 2, 0.3), ("clt", 12, 0.3)],
+        ids=["box-muller", "polar", "polar-rejected", "clt-2", "clt-12"])
+    def test_retained_passes(self, algo, k, x):
+        row = [F(x)] * transforms.arity(algo, k)
+        run_graph(algo, row, k=k)  # warm: caches fill on the first pass
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            kept = [run_graph(algo, row, k=k) for _ in range(self.PASSES)]
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(kept) == self.PASSES
+        # + 8: the `kept` list itself, and slack for one-off objects
+        assert grown <= 4 * self.PASSES + 8
+
