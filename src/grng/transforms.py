@@ -20,15 +20,21 @@ tests compare against them.  The batch datapath of each algorithm is
 written once, in `ARCHITECTURES`, as a function of an evaluator that
 supplies log, sin, cos, sqrt, mul, add and div: `Float64` here (reference
 mode), and the binary32 and traced binary32 evaluators of `fp_pipeline`.
-`evaluate` is the one batch driver of both modes, and `stream` its entry.
+`evaluate` is the one batch driver of both modes, and `stream` its entry;
+it cuts each round of passes into blocks that run on every core.
 `arity` owns the number of uniforms one pass reads, which sizes the sources
 here, the traced passes of `fp_pipeline` and the LFSR streams of `cli`.
 """
 
 from __future__ import annotations
 
+import contextvars
+import copy
+import functools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -260,10 +266,69 @@ class StreamResult:
     core_counts: Optional[dict] = None
 
 
+#: Fewest passes worth a block of their own.  A round shorter than twice
+#: this runs as one block in the calling thread; each further block costs
+#: a thread and one `LfsrState.jump` per source.  Below it, a second
+#: thread did not pay on a 2-vCPU host: 2^16-pass blocks made clt slower.
+_MIN_BLOCK = 1 << 17
+
+
+def _cores():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
+def _block_starts(passes):
+    """First pass of each block a round of `passes` passes is cut into:
+    one block per core, in equal parts of at least `_MIN_BLOCK` passes."""
+    blocks = max(1, min(passes // _MIN_BLOCK, _cores()))
+    return [passes * b // blocks for b in range(blocks)]
+
+
+def _in_threads(calls):
+    """Results of the zero-argument `calls`, in order.
+
+    Each call runs in a copy of this thread's context, so it sees the
+    caller's `np.errstate`: the first in this thread, each other in a
+    thread of its own.  The first exception of a call, in call order, is
+    raised here as it was raised.
+    """
+    results = [None] * len(calls)
+
+    def run(i, context):
+        try:
+            results[i] = False, context.run(calls[i])
+        except BaseException as exc:  # raised again in the calling thread
+            results[i] = True, exc
+
+    started = []
+    try:
+        for i in range(1, len(calls)):
+            t = threading.Thread(target=run, args=(i, contextvars.copy_context()))
+            t.start()
+            started.append(t)
+        run(0, contextvars.copy_context())
+    finally:  # no block outlives the call, even if a thread fails to start
+        for t in started:
+            t.join()
+    for failed, value in results:
+        if failed:
+            raise value
+    return [value for _, value in results]
+
+
 def evaluate(ev, algo, sources, count, clt):
     """Run `algo`'s architecture over `sources` under evaluator `ev`.
 
-    The batch driver of both modes; see `stream` for the contract.
+    The batch driver of both modes; see `stream` for the contract.  Each
+    round of passes is cut into contiguous blocks (`_block_starts`): block
+    b draws from every source jumped ahead to its first word, the blocks
+    run on as many threads as there are blocks, and their outputs are kept
+    in order.  So the bytes, the accounting and the sources' final state
+    are those of one block, whatever the thread count.
     """
     n = arity(algo, clt.k)
     if count < 0:
@@ -271,26 +336,42 @@ def evaluate(ev, algo, sources, count, clt):
     if len(sources) != n:
         raise LengthMismatchError(
             f"{algo} needs {n} uniform sources, got {len(sources)}")
+    polar = algo == "polar"
     width = 1 if algo == "clt" else 2
     graph = ARCHITECTURES[algo]
     one, two = ev.dtype(1.0), ev.dtype(2.0)
+
+    def block(srcs, a, b, out):
+        """Passes a to b of the round from `srcs`, which stand at its first
+        word, stacked into `out` (None: a new array)."""
+        inputs = (src.jump(a).uniforms(b - a, ev.dtype) for src in srcs)
+        if polar:
+            inputs = [two * u - one for u in inputs]
+        return np.stack(graph(ev, inputs), axis=1, out=out)
+
     chunks = [np.empty(0, dtype=ev.dtype)]  # all there is when count == 0
     have = proposed = 0
     while have < count:
         passes = -(-(count - have) // width)
-        if algo == "polar":
+        if polar:
             # under-propose slightly (acceptance rate is pi/4 ~ 0.785) so the
             # final top-up blocks stay small and consumption stays near 4/pi
             passes = max(256, int(passes / 0.80) + 1)
-        inputs = (src.uniforms(passes, ev.dtype) for src in sources)
-        if algo == "polar":
-            inputs = [two * u - one for u in inputs]
-        chunks.append(np.stack(graph(ev, inputs), axis=1).reshape(-1))
-        have += chunks[-1].size
+        starts = _block_starts(passes)
+        # every block but the last draws from copies; the last from
+        # `sources` themselves, so the round leaves them where one block would
+        srcs = [[copy.copy(src) for src in sources] for _ in starts[1:]] + [sources]
+        # a fixed-width round is written in place; polar's accepted count
+        # is known only once each block has run
+        rows = None if polar else np.empty((passes, width), dtype=ev.dtype)
+        outs = _in_threads([
+            functools.partial(block, s, a, b, None if polar else rows[a:b])
+            for s, a, b in zip(srcs, starts, starts[1:] + [passes])])
+        chunks.extend(out.reshape(-1) for out in (outs if polar else [rows]))
+        have += sum(out.size for out in outs)
         proposed += passes
     accepted = have // width
     values = np.concatenate(chunks) if len(chunks) > 2 else chunks[-1]
-    polar = algo == "polar"
     return StreamResult(
         values=values[:count], uniforms_consumed=n * proposed,
         algorithm=algo, mode=ev.mode,
@@ -307,8 +388,15 @@ def stream(algo, sources, count, *, mode="reference", clt=CltConfig()):
     box-muller and polar (feeding u1 and u2), k for clt (one per summand).
     Pair algorithms emit alpha then beta per draw; for odd counts the final
     beta is discarded but its uniforms are still consumed.  Polar advances
-    its sources in proposal blocks, so uniforms_consumed can slightly
+    its sources in proposal rounds, so uniforms_consumed can slightly
     exceed the minimum needed to reach `count` outputs.
+
+    A round of at least 2 * `_MIN_BLOCK` passes is cut into equal blocks,
+    one per CPU this process may run on (`os.sched_getaffinity`), each
+    drawing from the sources jumped to its first word and run on a thread
+    of its own in a copy of the caller's context.  The output, the
+    accounting and the sources' final `register` and `steps_taken` do not
+    depend on the thread count; an exception in a block is raised here.
     """
     if mode == "pipeline":
         from . import fp_pipeline

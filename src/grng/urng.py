@@ -33,6 +33,14 @@ from one lane start to the next; doubling with it finds every start, and
 the jumps of each (order, taps, m) are cached too.  Each lane then
 advances one block per lookup, writing its words straight into its row of
 the output.
+
+`LfsrState.jump(words)` is the one jump of a whole stream: it moves the
+register `words` words on, to register * x^(words * n) mod f, by one
+square-and-multiply (jump-ahead substreams, L'Ecuyer, Simard, Chen &
+Kelton, Oper. Res. 50(6), 2002).  `words` ends with it, and the batch
+driver `transforms.evaluate` starts each block of a round from copies of
+the sources jumped to the block's first word, so the words of a block do
+not depend on how a round is cut.
 """
 
 from __future__ import annotations
@@ -292,19 +300,59 @@ def _orbit(n, taps, s, t):
     return t
 
 
+def _gf2_divmod(a, b):
+    """Quotient and remainder of polynomials a / b over GF(2); b != 0."""
+    q, db = 0, b.bit_length()
+    while (shift := a.bit_length() - db) >= 0:
+        q ^= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def _gf2_gcd(a, b):
+    while b:
+        a, b = b, _gf2_divmod(a, b)[1]
+    return a
+
+
+def _factor_shape(n, taps):
+    """Degrees of the irreducible factors of taps, and their largest multiplicity.
+
+    Distinct-degree factorization: once every factor of degree below d is
+    divided out, gcd(g, x^(2^d) - x) is the product of the distinct
+    factors of degree d left in g, and dividing g by its gcd with that
+    product, while there is one, strips each of them as often as it occurs.
+    """
+    degrees, most = [], 1
+    g, xq, d = taps, 2, 0  # xq = x^(2^d) mod taps
+    while g != 1:
+        d += 1
+        if g.bit_length() - 1 < 2 * d:  # one factor is left, of degree >= d
+            degrees.append(g.bit_length() - 1)
+            break
+        xq = _gf2_mulmod(xq, xq, taps, n)
+        h, copies = _gf2_gcd(g, xq ^ 2), 0
+        if h != 1:
+            degrees.append(d)
+        while (h := _gf2_gcd(g, h)) != 1:
+            g, copies = _gf2_divmod(g, h)[0], copies + 1
+        most = max(most, copies)
+    return degrees, most
+
+
 @functools.lru_cache(maxsize=64)
 def _x_order(n, taps):
     """Order of x mod taps: the orbit length of the register 1.
 
-    It divides 2**n - 1 if taps is irreducible, and always divides
-    lcm(2**d - 1 : d <= n) * 2**ceil(log2 n), as taps has irreducible
-    factors of degree and multiplicity <= n (Lidl & Niederreiter, Finite
-    Fields, Thms 3.8 and 3.9).
+    It divides 2**n - 1 if taps is irreducible, and otherwise
+    lcm(2**d - 1 : d a factor degree) * 2**ceil(log2 e), e the largest
+    multiplicity of a factor (Lidl & Niederreiter, Finite Fields, Thms 3.8
+    and 3.9).
     """
     t = (1 << n) - 1
     if _gf2_pow_x(t, taps, n) != 1:
-        t = math.lcm(*((1 << d) - 1 for d in range(2, n + 1)))
-        t <<= (n - 1).bit_length()
+        degrees, most = _factor_shape(n, taps)
+        t = math.lcm(*((1 << d) - 1 for d in degrees)) << (most - 1).bit_length()
     return _orbit(n, taps, 1, t)
 
 
@@ -376,6 +424,18 @@ class LfsrState:
             value = float(np.nextafter(1.0, 0.0))
         return UniformSample(value=value, source_word=w)
 
+    def jump(self, words):
+        """Advance `words` words without drawing them; returns self.
+
+        The register becomes register * x^(words * n) mod f, the register
+        `words` words later, by one square-and-multiply (about 160 us at
+        order 32), and `steps_taken` grows by words * n.
+        """
+        n = self.config.order
+        self.register = _gf2_pow_x(words * n, self.config.taps, n, self.register)
+        self.steps_taken += words * n
+        return self
+
     # -- bulk generation ----------------------------------------------------
 
     def _lane_starts(self, lanes, jumps):
@@ -401,8 +461,8 @@ class LfsrState:
         the least that covers `count`; the jump between lane starts is the
         x^(_BLOCK * n) column of the block tables squared m times.  Each
         lane advances one block per lookup, writing its words straight into
-        its row of the output.  The register after `count` words is the
-        starting register times x^(count * n) mod f.
+        its row of the output.  The register after `count` words is
+        `jump(count)` of the starting one.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
@@ -419,8 +479,7 @@ class LfsrState:
             nxt = _lookup(block, state)
             words[:, k:k + _BLOCK] = nxt[:, :_BLOCK]
             state = nxt[:, _BLOCK]
-        self.register = _gf2_pow_x(count * n, taps, n, self.register)
-        self.steps_taken += count * n
+        self.jump(count)
         return words.reshape(-1)[:count]
 
     def uniforms(self, count, dtype=np.float64):

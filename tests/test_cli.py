@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import grng
+from _fixtures import cut_rounds
 from grng import cli, sampleio, stats, transforms, urng
 from grng.cli import main
 from grng.sampleio import ParseError, read_samples, read_sidecar, write_samples
@@ -402,6 +404,69 @@ class TestGen:
         assert values.size == 1000 and np.unique(values).size == 510
         assert run(*args, "--n", "100") == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
+    @pytest.mark.parametrize("mode", ["reference", "pipeline"])
+    def test_blocks_keep_bytes_and_sidecars(self, tmp_path, monkeypatch, algo,
+                                            mode):
+        """gen at 10^6, and at an odd n over 3 shards, writes the bytes and
+        sidecar of one block per round at 1-4 threads."""
+        def gen(threads, *argv):
+            cut_rounds(monkeypatch, threads, 1 << 12)
+            out = tmp_path / f"{threads}.bin"
+            assert run("gen", "--algo", algo, "--mode", mode, "--seed", "19",
+                       *argv, "--out", str(out)) == 0
+            return out.read_bytes(), Path(f"{out}.meta.json").read_bytes()
+
+        for argv in (("--n", "1000000"), ("--n", "200001", "--shards", "3")):
+            one = gen(0, *argv)
+            for threads in (1, 2, 3, 4):
+                assert gen(threads, *argv) == one, (argv, threads)
+
+    def test_past_period_warning_is_the_same_in_blocks(self, tmp_path,
+                                                        monkeypatch, capsys):
+        args = ("gen", "--algo", "box-muller", "--poly", "x^8+x^6+x^5+x^4+1",
+                "--seed", "3", "--n", "100000")
+        assert run(*args, "--out", str(tmp_path / "one.bin")) == 0
+        want = capsys.readouterr().err
+        assert want.count("warning: stream ") == 2
+        for threads in (2, 3, 4):
+            cut_rounds(monkeypatch, threads, 64)
+            out = tmp_path / f"{threads}.bin"
+            assert run(*args, "--out", str(out)) == 0
+            assert capsys.readouterr().err == want
+            assert out.read_bytes() == (tmp_path / "one.bin").read_bytes()
+
+    def test_memory_error_in_a_block_is_one_line(self, tmp_path, capsys,
+                                                 monkeypatch):
+        main_thread = threading.main_thread()
+
+        def log(x):
+            if threading.current_thread() is not main_thread:
+                raise MemoryError("Unable to allocate 4.00 EiB")
+            return np.log(x)
+
+        monkeypatch.setattr(transforms.Float64, "log", staticmethod(log))
+        cut_rounds(monkeypatch, 2)
+        assert run("gen", "--n", "10000", "--out", str(tmp_path / "x.bin")) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "out of memory" in err
+
+    def test_short_gen_starts_no_thread_and_imports_no_pool(self, tmp_path):
+        src = str(Path(grng.__file__).resolve().parents[1])
+        code = ("import sys, threading\n"
+                "def refuse(self):\n"
+                "    raise AssertionError('a thread was started')\n"
+                "threading.Thread.start = refuse\n"
+                "from grng.cli import main\n"
+                "assert main(['gen', '--algo', 'clt', '--n', '10000',\n"
+                "             '--out', sys.argv[1]]) == 0\n"
+                "assert 'concurrent.futures' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.bin")],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"

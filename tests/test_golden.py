@@ -15,6 +15,7 @@ import io
 
 import pytest
 
+from _fixtures import cut_rounds
 from grng.cli import main
 
 N = 10_000
@@ -65,6 +66,20 @@ def _sha256(path):
 
 @pytest.mark.parametrize("algo,mode,fmt", sorted(GOLDEN))
 def test_gen_output_bytes_pinned(tmp_path, algo, mode, fmt):
+    _check_golden(tmp_path, algo, mode, fmt)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+@pytest.mark.parametrize("algo,mode,fmt", sorted(GOLDEN))
+def test_gen_output_bytes_pinned_in_blocks(tmp_path, monkeypatch, algo, mode,
+                                           fmt, threads):
+    """The same hashes when each round is cut into blocks of >= 1000 passes
+    on 1-4 threads."""
+    cut_rounds(monkeypatch, threads)
+    _check_golden(tmp_path, algo, mode, fmt)
+
+
+def _check_golden(tmp_path, algo, mode, fmt):
     out = tmp_path / f"golden.{fmt}"
     argv = ["gen", "--algo", algo, "--n", str(N), "--seed", "1",
             "--mode", mode, "--format", fmt, "--out", str(out)]

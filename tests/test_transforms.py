@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st_
 from mpmath import mp, mpf
 from mpmath import cos as mcos, log as mlog, sin as msin, sqrt as msqrt
 
-from _fixtures import fixed_pairs, make_sources, ulps
+from _fixtures import cut_rounds, fixed_pairs, make_sources, ulps
 from grng import transforms, urng
 from grng.transforms import (
     CltConfig,
@@ -245,3 +248,119 @@ class TestStream:
         res = stream("box-muller", make_sources(21, 2), 200_000)
         assert abs(res.values.mean()) < 0.01
         assert abs(res.values.var() - 1.0) < 0.02
+
+
+class TestBlocks:
+    def test_block_plan(self, monkeypatch):
+        assert transforms._block_starts(2 * transforms._MIN_BLOCK - 1) == [0]
+        cut_rounds(monkeypatch, 3)
+        assert transforms._block_starts(1999) == [0]
+        assert transforms._block_starts(2000) == [0, 1000]
+        assert transforms._block_starts(3001) == [0, 1000, 2000]
+        assert transforms._block_starts(10 ** 6) == [0, 333_333, 666_666]
+
+    @pytest.mark.parametrize("mode", ["reference", "pipeline"])
+    @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
+    def test_blocks_change_nothing(self, monkeypatch, algo, mode):
+        """Bytes, accounting and each source's end state are those of one
+        block at 1-4 threads, for even and odd counts and a clt k of 5."""
+        for count, k in ((12_345, 12), (40_000, 12), (9_001, 5)):
+            n = transforms.arity(algo, k)
+            runs = []
+            for threads in (0, 1, 2, 3, 4):
+                cut_rounds(monkeypatch, threads)
+                sources = make_sources(77, n)
+                res = stream(algo, sources, count, mode=mode, clt=CltConfig(k=k))
+                runs.append((res.values.tobytes(), res.values.dtype,
+                             res.uniforms_consumed, res.pairs_proposed,
+                             res.pairs_accepted, res.core_counts,
+                             [(s.register, s.steps_taken) for s in sources]))
+            assert all(run == runs[0] for run in runs[1:]), (count, k)
+
+    def test_blocks_run_in_the_callers_context(self, monkeypatch):
+        """Each block sees the caller's np.errstate, as numpy keeps it in a
+        context variable that a bare thread does not inherit."""
+        seen = []
+
+        class Recording(transforms.Float64):
+            @staticmethod
+            def log(x):
+                seen.append(np.geterr()["divide"])
+                return np.log(x)
+
+        cut_rounds(monkeypatch, 4)
+        with np.errstate(divide="ignore"):
+            transforms.evaluate(Recording, "box-muller", make_sources(1, 2),
+                                20_000, CltConfig())
+        assert seen == ["ignore"] * 4
+
+        def log_zero():
+            return np.log(np.zeros(3))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="ignore"):
+                outs = transforms._in_threads([log_zero] * 3)
+            assert all(np.isneginf(out).all() for out in outs)
+            with np.errstate(divide="raise"):
+                with pytest.raises(FloatingPointError):
+                    transforms._in_threads([lambda: 0, log_zero])
+
+    def test_block_exception_is_raised_unchanged(self, monkeypatch):
+        main = threading.main_thread()
+        raised = []
+
+        class Exhausted(transforms.Float64):
+            @staticmethod
+            def log(x):
+                if threading.current_thread() is not main:
+                    raised.append(MemoryError("Unable to allocate"))
+                    raise raised[-1]
+                return np.log(x)
+
+        cut_rounds(monkeypatch, 3)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as info:
+            transforms.evaluate(Exhausted, "box-muller", make_sources(1, 2),
+                                20_000, CltConfig())
+        assert len(raised) == 2 and any(info.value is exc for exc in raised)
+        assert threading.active_count() == before
+
+        def fail(exc):
+            def call():
+                raise exc
+            return call
+
+        first, second = KeyError("first"), ValueError("second")
+        with pytest.raises(KeyError) as info:
+            transforms._in_threads([lambda: 1, fail(first), fail(second)])
+        assert info.value is first
+        assert transforms._in_threads([lambda: 1, lambda: 2]) == [1, 2]
+
+        # a thread that cannot start leaves none of the others running
+        real_start, started = threading.Thread.start, []
+
+        def start_once(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            transforms._in_threads([lambda: 1] + [lambda: time.sleep(0.2)] * 2)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_short_runs_start_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(transforms, "_cores", lambda: 2)
+        passes = 2 * transforms._MIN_BLOCK - 1
+        for algo in transforms.ALGORITHMS:
+            n = transforms.arity(algo, 12)
+            count = passes if algo == "clt" else 2 * int(passes * 0.78)
+            assert stream(algo, make_sources(3, n), count).values.size == count
+        with pytest.raises(AssertionError, match="a thread was started"):
+            stream("clt", make_sources(3, 12), passes + 1)

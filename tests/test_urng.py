@@ -375,11 +375,16 @@ class TestBulk:
         second = data.draw(st_.integers(0, 2 * LANES * BLOCK + 3), label="b")
         cfg = LfsrConfig(order=order, taps=(1 << order) | (middle << 1) | 1,
                          seed=seed)
-        split, whole = LfsrState(cfg), LfsrState(cfg)
+        split, whole, jumped = LfsrState(cfg), LfsrState(cfg), LfsrState(cfg)
         parts = np.concatenate([split.words(first), split.words(second)])
         assert np.array_equal(parts, whole.words(first + second))
         assert split.register == whole.register
         assert split.steps_taken == whole.steps_taken
+        # a jump of `first` words lands where drawing them does
+        assert jumped.jump(first) is jumped
+        assert np.array_equal(jumped.words(second), parts[first:])
+        assert (jumped.register, jumped.steps_taken) == \
+            (whole.register, whole.steps_taken)
 
     def test_uniforms_strictly_inside_unit_interval(self):
         st = new_lfsr(primitive_config(4, seed=1))
@@ -569,6 +574,30 @@ class TestPrimitivity:
                     assert lfsr_period(cfg) == \
                         brute_force_period(taps, order, seed), \
                         f"{polynomial_str(taps)}, seed {seed:#x}"
+
+    def test_factor_shape_matches_trial_division(self):
+        """Factor degrees and largest multiplicity of every degree 2-10
+        polynomial with a constant term, against trial division."""
+        def shape(f):
+            counts = {}
+            d = 2  # the polynomial x; f has a constant term, so not a factor
+            while f.bit_length() > 1:
+                d += 1
+                while True:  # the least divisor left is irreducible
+                    q, r = urng._gf2_divmod(f, d)
+                    if r:
+                        break
+                    f = q
+                    counts[d] = counts.get(d, 0) + 1
+            return (sorted({p.bit_length() - 1 for p in counts}),
+                    max(counts.values()))
+
+        for order in range(2, 11):
+            for middle in range(2 ** (order - 1)):
+                taps = (1 << order) | (middle << 1) | 1
+                degrees, most = urng._factor_shape(order, taps)
+                assert (sorted(degrees), most) == shape(taps), \
+                    polynomial_str(taps)
 
     def test_non_primitive_taps_warn_but_work(self):
         cfg = LfsrConfig(order=4, taps=parse_polynomial("x^4+x^2+1"), seed=1)
