@@ -50,6 +50,10 @@ _MAX_K = 1 << 16
 #: Largest --shards.  Each shard is a Python-level loop step that builds its
 #: own sources, so 10^5 one-sample shards spend seconds on set-up alone.
 _MAX_SHARDS = 1 << 16
+#: Most LFSR streams one run sets up: a pair algorithm's at the --shards
+#: bound.  --k times --shards is not bounded by either flag, and 2^32 seeds
+#: from the splitmix64 loop would take hours.
+_MAX_STREAMS = 2 * _MAX_SHARDS
 
 
 class _UsageError(Exception):
@@ -201,6 +205,10 @@ def _generate(args, algo, count):
     per_shard = transforms.arity(algo, clt.k)  # LFSR streams per shard
     # shards beyond the n-th would be empty: seeds go only to those that run
     shards = min(args.shards, count)
+    if shards * per_shard > _MAX_STREAMS:
+        raise _UsageError(f"--k {clt.k} with --shards {shards} sets up "
+                          f"{shards * per_shard} LFSR streams, more than "
+                          f"{_MAX_STREAMS}")
     try:
         lfsr_seeds = urng.derive_seeds(args.seed, shards * per_shard, lfsr.order)
     except ValueError as exc:

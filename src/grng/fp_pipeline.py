@@ -62,7 +62,6 @@ import numpy as np
 from . import transforms
 
 __all__ = [
-    "ArityMismatchError",
     "Binary32",
     "CoreResult",
     "PipelineTrace",
@@ -84,10 +83,6 @@ _INF = np.float32(np.inf)
 _SMALLEST_NORMAL = np.float32(2.0 ** -126)
 _quiet = functools.partial(np.errstate, all="ignore")
 _FLAGS = ("zero", "nan", "overflow", "underflow")
-
-
-#: The old name of `transforms.LengthMismatchError`, kept for importers.
-ArityMismatchError = transforms.LengthMismatchError
 
 
 _BIG_ENDIAN = slice(None, None, -1 if np.little_endian else 1)

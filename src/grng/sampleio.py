@@ -63,9 +63,10 @@ def write_samples(path, values, mode, fmt):
     """Write a value sequence in the requested format; returns the Path."""
     path = Path(path)
     values = np.asarray(values)
+    dtype = _dtype_for(mode)  # every format names a known mode
     if fmt == "bin":
         # the samples' own buffer when they already have the file's dtype
-        payload = np.ascontiguousarray(values, dtype=_dtype_for(mode))
+        payload = np.ascontiguousarray(values, dtype=dtype)
         header = MAGIC + struct.pack("<IQ", _MODE_CODES[mode], values.size)
         with path.open("wb") as out:
             out.write(header)

@@ -476,13 +476,14 @@ def moments(samples):
     if n < 2:
         raise InsufficientSampleError(f"moments need >= 2 samples, got {n}")
     mean = float(xs.mean())
-    centered = xs - mean
-    m2 = float(np.mean(centered ** 2))
+    c = xs - mean
+    c2 = c * c  # products: c ** 3 and c ** 4 go through the slow np.power
+    m2 = float(np.mean(c2))
     variance = m2 * n / (n - 1)
     if m2 == 0.0:
         return Moments(mean, 0.0, math.nan, math.nan)
-    m3 = float(np.mean(centered ** 3))
-    m4 = float(np.mean(centered ** 4))
+    m3 = float(np.mean(c2 * c))
+    m4 = float(np.mean(c2 * c2))
     return Moments(mean, variance, m3 / m2 ** 1.5, m4 / (m2 * m2) - 3.0)
 
 

@@ -288,18 +288,6 @@ def _gf2_pow_x(e, f, n, result=1):
 _ORDER_PRIMES = sorted({2}.union(*_MERSENNE_FACTORS.values()), reverse=True)
 
 
-def _orbit(n, taps, s, t):
-    """Orbit length of s under x mod taps, given that it divides t.
-
-    The t with s * x^t == s are its multiples, so primes are divided out
-    of t while the congruence holds.
-    """
-    for p in _ORDER_PRIMES:
-        while t % p == 0 and _gf2_pow_x(t // p, taps, n, s) == s:
-            t //= p
-    return t
-
-
 def _gf2_divmod(a, b):
     """Quotient and remainder of polynomials a / b over GF(2); b != 0."""
     q, db = 0, b.bit_length()
@@ -342,18 +330,22 @@ def _factor_shape(n, taps):
 
 @functools.lru_cache(maxsize=64)
 def _x_order(n, taps):
-    """Order of x mod taps: the orbit length of the register 1.
+    """Order of x mod taps, of degree n >= 1: the orbit length of the register 1.
 
     It divides 2**n - 1 if taps is irreducible, and otherwise
     lcm(2**d - 1 : d a factor degree) * 2**ceil(log2 e), e the largest
     multiplicity of a factor (Lidl & Niederreiter, Finite Fields, Thms 3.8
-    and 3.9).
+    and 3.9).  The t with x^t == 1 are the multiples of the order, so
+    primes are divided out of that bound while the congruence holds.
     """
     t = (1 << n) - 1
     if _gf2_pow_x(t, taps, n) != 1:
         degrees, most = _factor_shape(n, taps)
         t = math.lcm(*((1 << d) - 1 for d in degrees)) << (most - 1).bit_length()
-    return _orbit(n, taps, 1, t)
+    for p in _ORDER_PRIMES:
+        while t % p == 0 and _gf2_pow_x(t // p, taps, n) == 1:
+            t //= p
+    return t
 
 
 def verify_primitive(config):
@@ -365,20 +357,21 @@ def verify_primitive(config):
     return _x_order(config.order, config.taps) == (1 << config.order) - 1
 
 
-@functools.lru_cache(maxsize=256)
 def lfsr_period(config):
     """Exact state period of the register: its seed's orbit length.
 
     The orbit s, s*x, s*x^2, ... mod f first returns to s at the least t
-    with s * x^t == s: a divisor of the order of x, smaller when s shares
-    a factor with f.  Cached per config, as `new_lfsr` and the period
-    check of `gen` both ask for it.
+    with s * x^t == s, that is with x^t == 1 modulo g = f / gcd(f, s)
+    (f divides s * (x^t - 1) iff g divides x^t - 1).  So the period is
+    the order of x mod g: the order of x mod f when s is coprime to f,
+    and a divisor of it otherwise.
     """
-    n, taps = config.order, config.taps
-    t = _x_order(n, taps)
+    n, f = config.order, config.taps
+    t = _x_order(n, f)
     if t == (1 << n) - 1:  # primitive: every nonzero register is a unit
         return t
-    return _orbit(n, taps, config.seed, t)
+    g = _gf2_divmod(f, _gf2_gcd(f, config.seed))[0]
+    return _x_order(g.bit_length() - 1, g)
 
 
 @dataclass

@@ -95,9 +95,12 @@ class TestSampleIo:
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(ParseError):
             read_samples(path)
-        # an unknown mode or format name is refused the same way
-        with pytest.raises(ParseError):
-            write_samples(path, [1.0], "bogus", "bin")
+        # an unknown mode, in every format, or format name is refused the
+        # same way, before the file is opened
+        for fmt in ("bin", "csv", "json"):
+            with pytest.raises(ParseError):
+                write_samples(tmp_path / f"y.{fmt}", [1.0], "bogus", fmt)
+            assert not (tmp_path / f"y.{fmt}").exists()
         with pytest.raises(ParseError):
             write_samples(path, [1.0], "reference", "xml")
 
@@ -543,6 +546,42 @@ class TestGen:
         assert_one_line_error(err)
         assert "--shards" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "bench", "quadrature"])
+    def test_stream_bound_is_refused_before_any_seed(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # --k and --shards each within bounds, but their product is 3 * 2^16
+        # streams: derive_seeds alone would loop for seconds, at 2^32 hours
+        def derive_seeds(*args):
+            raise AssertionError("seeds derived for a refused --k * --shards")
+
+        monkeypatch.setattr(urng, "derive_seeds", derive_seeds)
+        out = tmp_path / "x.out"
+        argv = [command, "--algo", "clt", "--k", str(cli._MAX_K),
+                "--shards", "3", "--n", "3"]
+        if command != "bench":
+            argv += ["--out", str(out)]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "--k" in err and "--shards" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("--algo", "clt", "--k", str(cli._MAX_K), "--shards", "2", "--n", "2"),
+        ("--shards", str(cli._MAX_SHARDS), "--n", str(cli._MAX_SHARDS)),
+    ])
+    def test_stream_bound_admits_its_limit(self, tmp_path, monkeypatch, argv):
+        # the largest clt and pair requests reach derive_seeds with exactly
+        # the bound; derive_seeds' own refusal ends the run there
+        counts = []
+        def derive_seeds(seed, count, order):
+            counts.append(count)
+            raise ValueError("stop after the count")
+
+        monkeypatch.setattr(urng, "derive_seeds", derive_seeds)
+        assert run("gen", *argv, "--out", str(tmp_path / "x.bin")) == 1
+        assert counts == [cli._MAX_STREAMS]
 
     def test_shards_bound_accepted(self, tmp_path):
         out = tmp_path / "x.bin"

@@ -13,7 +13,6 @@ from _fixtures import make_sources
 from grng import fp_pipeline as fp
 from grng import transforms, urng
 from grng.fp_pipeline import (
-    ArityMismatchError,
     core_add,
     core_cos,
     core_div,
@@ -407,16 +406,15 @@ class TestRunGraph:
         assert dict(t.counts) == expected_core_counts("clt", k=12)
 
     def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatchError):
+        with pytest.raises(transforms.LengthMismatchError):
             run_graph("box-muller", [F(0.5)])
-        with pytest.raises(ArityMismatchError):
+        with pytest.raises(transforms.LengthMismatchError):
             run_graph("polar", [F(0.5)] * 3)
-        with pytest.raises(ArityMismatchError):
+        with pytest.raises(transforms.LengthMismatchError):
             run_graph("clt", [F(0.5)] * 5, k=12)
         with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
             run_graph("bogus", [F(0.5)] * 2)
-        # the old name of the one wrong-count class; arity inputs, no more or fewer
-        assert ArityMismatchError is transforms.LengthMismatchError
+        # arity inputs, no more or fewer
         for algo in transforms.ALGORITHMS:
             for k in (2, 5, 12):
                 n = transforms.arity(algo, k)

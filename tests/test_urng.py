@@ -575,6 +575,21 @@ class TestPrimitivity:
                         brute_force_period(taps, order, seed), \
                         f"{polynomial_str(taps)}, seed {seed:#x}"
 
+    def test_seed_coprime_to_taps_needs_no_exponentiation(self, monkeypatch):
+        # s * x^t == s iff x^t == 1 mod f / gcd(f, s): a seed coprime to f
+        # has the order of x mod f, found once for the first seed
+        taps = parse_polynomial("x^64+x^5+x^4+x^3+1")
+        period = lfsr_period(LfsrConfig(order=64, taps=taps, seed=1))
+        calls = []
+        pow_x = urng._gf2_pow_x
+        monkeypatch.setattr(urng, "_gf2_pow_x",
+                            lambda *a: calls.append(a) or pow_x(*a))
+        # x^j, x + 1 and the all-ones (x + 1)^63: f(0) = f(1) = 1
+        for seed in (2, 3, 1 << 63, 2 ** 64 - 1):
+            cfg = LfsrConfig(order=64, taps=taps, seed=seed)
+            assert lfsr_period(cfg) == period
+        assert calls == []
+
     def test_factor_shape_matches_trial_division(self):
         """Factor degrees and largest multiplicity of every degree 2-10
         polynomial with a constant term, against trial division."""
