@@ -85,11 +85,8 @@ _quiet = functools.partial(np.errstate, all="ignore")
 _FLAGS = ("zero", "nan", "overflow", "underflow")
 
 
-_BIG_ENDIAN = slice(None, None, -1 if np.little_endian else 1)
-
-
 def _hex32(x):
-    return np.float32(x).tobytes()[_BIG_ENDIAN].hex()
+    return f"{np.float32(x).view(np.uint32):08x}"
 
 
 class CoreResult(NamedTuple):

@@ -66,15 +66,19 @@ def quadrature_stream(source, config):
     return math.sqrt(config.variance) * g[:needed].reshape(-1, 2)
 
 
-def pairs_to_csv(pairs):
+def _pair_chunks(pairs):
+    """(q, p) lists of Python floats, _TEXT_CHUNK pairs at a time."""
     pairs = np.asarray(pairs, dtype=np.float64)
-    parts = ["q,p\n"]
     for i in range(0, len(pairs), _TEXT_CHUNK):
-        parts.append("".join(f"{q!r},{p!r}\n"
-                             for q, p in pairs[i:i + _TEXT_CHUNK].tolist()))
-    return "".join(parts)
+        yield pairs[i:i + _TEXT_CHUNK].tolist()
+
+
+def pairs_to_csv(pairs):
+    return "q,p\n" + "".join("".join(f"{q!r},{p!r}\n" for q, p in chunk)
+                             for chunk in _pair_chunks(pairs))
 
 
 def pairs_to_json(pairs):
-    return json.dumps([{"q": q, "p": p}
-                       for q, p in np.asarray(pairs, dtype=np.float64).tolist()])
+    """The text of one json.dumps of [{"q": q, "p": p}, ...], built by chunks."""
+    return "[" + ", ".join(json.dumps([{"q": q, "p": p} for q, p in chunk])[1:-1]
+                           for chunk in _pair_chunks(pairs)) + "]"

@@ -9,8 +9,9 @@ sequence:
 * csv  -- one value per line, printed with repr (shortest round-trip
   decimal), no header.
 * json -- {"magic": "GRNG", "mode": ..., "count": ..., "values": [...]};
-  "values" must be a flat list of numbers, and "count", when present,
-  must equal its length.
+  "values" must be a flat list of numbers, "count", when present, an
+  integer equal to its length, and "mode", when present and not null, a
+  known mode.
 
 `read_samples` takes the format from the bytes alone, never the name: the
 "GRNG" magic is bin, a leading "{" is json, and anything else is csv.
@@ -123,10 +124,12 @@ def read_samples(path):
             values = np.asarray(raw, dtype=np.float64)
         except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
             raise ParseError(f"{path} is not a GRNG json sample file: {exc}") from exc
-        count = doc.get("count", values.size)
-        if count != values.size:
-            raise ParseError(f"{path}: header claims {count} values, found {values.size}")
-        return values, doc.get("mode")
+        count, mode = doc.get("count", values.size), doc.get("mode")
+        if type(count) is not int or count != values.size:  # not True, not 1.0
+            raise ParseError(f"{path}: header claims {count!r} values, found {values.size}")
+        if mode not in (None, *_MODE_CODES):
+            raise ParseError(f"unknown mode {mode!r} in {path}")
+        return values, mode
     try:
         values = np.fromiter(map(float, data.decode().split()), np.float64)
     except ValueError as exc:

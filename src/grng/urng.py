@@ -24,15 +24,15 @@ are all linear in the register s, so the row of these K + 1 values is the
 XOR of ceil(n/8) rows of 256-entry tables indexed by the bytes of s.
 Table entries and words are the narrowest unsigned type that holds n bits:
 uint32 up to order 32 (tables of 135 KB at order 32), uint64 above (540 KB
-at order 64).  The tables are built once per (order, taps) from one walk
-of `LfsrState.step`, (K + 1) * n clocks from the register 1, and cached
-read-only beside the order of x mod f.  `LfsrState.words` cuts the stream
-into up to 4096 contiguous lanes of K * 2^m words.  The last column of the
-block tables, the multiply by x^(K * n) mod f, squared m times is the jump
-from one lane start to the next; doubling with it finds every start, and
-the jumps of each (order, taps, m) are cached too.  Each lane then
-advances one block per lookup, writing its words straight into its row of
-the output.
+at order 64), built from one walk of `LfsrState.step`, (K + 1) * n clocks
+from the register 1.  `LfsrState.words` cuts the stream into up to 4096
+contiguous lanes of K * 2^m words.  The last column of the block tables,
+the multiply by x^(K * n) mod f, squared m times is the jump from one
+lane start to the next, and doubling with it finds every start.  The
+tables and that column's chain of squares, which serves every m, are one
+read-only cache entry per (order, taps), beside the order of x mod f.
+Each lane advances one block per lookup, writing its words straight into
+its row of the output.
 
 `LfsrState.jump(words)` is the one jump of a whole stream: it moves the
 register `words` words on, to register * x^(words * n) mod f, by one
@@ -451,22 +451,22 @@ class LfsrState:
 
         The words are uint32 up to order 32 and uint64 above.  The stream
         is cut into at most 4096 contiguous lanes of _BLOCK * 2^m words, m
-        the least that covers `count`; the jump between lane starts is the
-        x^(_BLOCK * n) column of the block tables squared m times.  Each
-        lane advances one block per lookup, writing its words straight into
-        its row of the output.  The register after `count` words is
-        `jump(count)` of the starting one.
+        the least that covers `count`; the jump between lane starts is
+        entry m of the jump chain of `_block_tables`.  Each lane advances
+        one block per lookup, writing its words straight into its row of
+        the output.  The register after `count` words is `jump(count)` of
+        the starting one.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
         n, taps = self.config.order, self.config.taps
         if count == 0:
             return np.empty(0, dtype=_word_dtype(n))
-        block = _block_tables(n, taps)
+        block, jumps = _block_tables(n, taps)
         m = (-(-count // (_LANES * _BLOCK)) - 1).bit_length()
         per_lane = _BLOCK << m
         lanes = -(-count // per_lane)
-        state = self._lane_starts(lanes, _lane_jumps(n, taps, m))
+        state = self._lane_starts(lanes, jumps[m:])
         words = np.empty((lanes, per_lane), dtype=block.dtype)
         for k in range(0, per_lane, _BLOCK):
             nxt = _lookup(block, state)
@@ -486,19 +486,16 @@ class LfsrState:
 def _word_uniforms(words, n, dtype):
     """n-bit words as word / 2**n, rounded once to dtype (float64 or float32).
 
-    A word of at most 32 bits goes straight to float32: the cast rounds it
-    once and the power-of-two scale is exact.  Wider words take the float64
-    path and then round to float32, as `fp_pipeline.uniform_to_f32` does; a
-    direct uint64 cast would round differently where the float64 step ties
-    (at order 64, 2^63 + 2^39 + 1 is 0x1p-1 one way, 0x1.000002p-1 the other).
-    Above order 53 float64 rounding can reach 1.0, so values are capped at
-    the largest float64 below 1, as in `next_uniform`.
+    A word of at most 32 bits is cast straight to dtype: the cast rounds it
+    once and the power-of-two scale is exact.  Wider words are scaled in
+    float64 and then rounded to dtype, as `fp_pipeline.uniform_to_f32` does
+    for float32; a direct uint64 cast would round differently where the
+    float64 step ties (at order 64, 2^63 + 2^39 + 1 is 0x1p-1 one way,
+    0x1.000002p-1 the other).  Above order 53 float64 rounding can reach
+    1.0, so values are capped at the largest float64 below 1, as in
+    `next_uniform`.
     """
-    if n <= 32 and dtype == np.float32:
-        vals = words.astype(np.float32)
-        vals *= np.float32(2.0 ** -n)
-        return vals
-    vals = words.astype(np.float64)
+    vals = words.astype(dtype if n <= 32 else np.float64)
     vals *= 2.0 ** -n
     if n > 53:
         np.minimum(vals, np.nextafter(1.0, 0.0), out=vals)
@@ -549,12 +546,14 @@ def _lookup(tables, regs):
 
 @functools.lru_cache(maxsize=64)
 def _block_tables(order, taps):
-    """Block leap-forward tables, built once per tap mask.
+    """Block leap-forward tables and lane jumps, built once per tap mask.
 
-    [..., k] tabulates word k + 1 of the register s for k < _BLOCK, and
-    [..., _BLOCK] the register _BLOCK words later.  The basis register
-    1 << j is x^j, so its clock t is clock j + t of the register 1: one
-    walk of (_BLOCK + 1) * n clocks from 1 gives every image.
+    block[..., k] tabulates word k + 1 of the register s for k < _BLOCK,
+    and block[..., _BLOCK] the register _BLOCK words later.  The basis
+    register 1 << j is x^j, so its clock t is clock j + t of the register
+    1: one walk of (_BLOCK + 1) * n clocks from 1 gives every image.
+    jumps[j], that last column squared j times (a table applied to its own
+    entries), is the multiply by x^(_BLOCK * 2^j * n).
     """
     dtype = _word_dtype(order)
     st = LfsrState(LfsrConfig(order=order, taps=taps, seed=1))
@@ -567,28 +566,14 @@ def _block_tables(order, taps):
     for i in range(order):  # word at clock t packs bits t .. t + n - 1
         words = words << dtype(1) | bits[i:i + span]
     images = np.column_stack([words.reshape(_BLOCK, order).T, regs[span:]])
-    return _byte_tables(images)
-
-
-@functools.lru_cache(maxsize=64)
-def _lane_jumps(order, taps, m):
-    """Jumps between the lane starts of `LfsrState.words`, per lane length.
-
-    Entry i tabulates the multiply by x^(_BLOCK * 2^(m + i) * n): the last
-    column of the block tables squared m + i times (the table of a square
-    is the table applied to its own entries).  The entries reach _LANES
-    lanes; cached, they serve every stream of one (order, taps) and lane
-    length.
-    """
-    jump = _block_tables(order, taps)[..., _BLOCK]
-    for _ in range(m):
-        jump = _lookup(jump, jump)
-    jumps = [jump]
-    while len(jumps) < (_LANES - 1).bit_length():
+    block = _byte_tables(images)
+    # `words` reads entries m to m + 11 to reach _LANES lanes of _BLOCK * 2^m
+    # words; 64 entries cover every count below 2^63 (m <= 46 there)
+    jumps = [block[..., _BLOCK]]
+    while len(jumps) < 64:
         jumps.append(_lookup(jumps[-1], jumps[-1]))
-    for j in jumps:
-        j.flags.writeable = False
-    return tuple(jumps)
+        jumps[-1].flags.writeable = False
+    return block, tuple(jumps)
 
 
 def new_lfsr(config):

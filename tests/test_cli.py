@@ -50,6 +50,12 @@ BAD_INPUTS = {
     "string-item.json": b'{"values": [1.0, "2.0"]}',
     "bool-item.json": b'{"values": [1.0, true]}',
     "count.json": b'{"count": 10, "values": [1.0, 2.0]}',
+    # a header count that is not an exact int, or a mode no writer names
+    "bool-count.json": b'{"count": true, "values": [0.5]}',
+    "float-count.json": b'{"count": 1.0, "values": [0.5]}',
+    "list-mode.json": b'{"count": 1, "mode": [1, 2], "values": [0.5]}',
+    "unknown-mode.json": b'{"mode": "turbo", "values": [0.5]}',
+    "number-mode.json": b'{"count": 1, "mode": 0, "values": [0.5]}',
     # nested past json.loads' recursion limit
     "deep.json": b'{"values": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
     "empty.bin": b"",

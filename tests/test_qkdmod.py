@@ -88,3 +88,17 @@ class TestExports:
         pairs = [[0.5, -1.5], [2.0, 0.25]]
         doc = json.loads(pairs_to_json(pairs))
         assert doc == [{"q": 0.5, "p": -1.5}, {"q": 2.0, "p": 0.25}]
+
+    @pytest.mark.parametrize("size", [0, 1, qkdmod._TEXT_CHUNK - 1,
+                                      qkdmod._TEXT_CHUNK,
+                                      qkdmod._TEXT_CHUNK + 1,
+                                      3 * qkdmod._TEXT_CHUNK + 5])
+    def test_json_writer_matches_one_dumps(self, size):
+        pairs = np.random.default_rng(size).standard_normal((size, 2))
+        # NaN and +-inf, two of them on either side of the chunk boundary
+        chunk = qkdmod._TEXT_CHUNK
+        for i, v in zip((0, chunk - 1, chunk), (np.nan, np.inf, -np.inf)):
+            if i < size:
+                pairs[i, i % 2] = v
+        want = json.dumps([{"q": q, "p": p} for q, p in pairs.tolist()])
+        assert pairs_to_json(pairs) == want

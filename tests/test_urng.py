@@ -386,6 +386,44 @@ class TestBulk:
         assert (jumped.register, jumped.steps_taken) == \
             (whole.register, whole.steps_taken)
 
+    @pytest.mark.parametrize("poly", [
+        PRIMITIVE_BY_ORDER[8], PRIMITIVE_BY_ORDER[32], PRIMITIVE_BY_ORDER[64],
+        "x^64+x^5+x^4+x^3+1",  # reducible
+    ])
+    def test_cached_lane_jumps_equal_jump(self, poly):
+        """Entry j of the cached chain moves a register BLOCK * 2^j words."""
+        taps = parse_polynomial(poly)
+        n = taps.bit_length() - 1
+        _, jumps = urng._block_tables(n, taps)
+        # every count below 2^63 finds the starts of its lanes in the chain
+        m = (-(-(2 ** 63 - 1) // (LANES * BLOCK)) - 1).bit_length()
+        assert m + (LANES - 1).bit_length() <= len(jumps)
+        seeds = [1, (1 << n) - 1, 0x9E3779B97F4A7C15 & ((1 << n) - 1)]
+        regs = np.array(seeds, dtype=urng._word_dtype(n))
+        for j, table in enumerate(jumps):
+            want = [LfsrState(LfsrConfig(n, taps, s)).jump(BLOCK << j).register
+                    for s in seeds]
+            assert urng._lookup(table, regs).tolist() == want
+
+    @pytest.mark.parametrize("poly", ["x^32+x^8+x^5+x^2+1",
+                                      "x^64+x^5+x^4+x^3+1"])
+    def test_long_draw_equals_split_at_a_lane_boundary(self, poly):
+        """A draw with lanes of BLOCK * 2^6 words, against two shorter ones."""
+        taps = parse_polynomial(poly)
+        n = taps.bit_length() - 1
+        cfg = LfsrConfig(order=n, taps=taps,
+                         seed=0x9E3779B97F4A7C15 & ((1 << n) - 1))
+        count = 40 * LANES * BLOCK + 7
+        first = 1000 * (BLOCK << 6)  # where lane 1000 of the whole draw starts
+        whole, split = LfsrState(cfg), LfsrState(cfg)
+        words = whole.words(count)
+        assert np.array_equal(split.words(first), words[:first])
+        assert np.array_equal(split.words(count - first), words[first:])
+        jumped = LfsrState(cfg).jump(count)
+        assert (whole.register, whole.steps_taken) == \
+            (split.register, split.steps_taken) == \
+            (jumped.register, jumped.steps_taken)
+
     def test_uniforms_strictly_inside_unit_interval(self):
         st = new_lfsr(primitive_config(4, seed=1))
         vals = st.uniforms(15)
