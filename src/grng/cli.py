@@ -286,12 +286,11 @@ def _cmd_hist(args):
     _check_memory(f"{args.bins} bins", 16 * args.bins)
     values, _mode = sampleio.read_samples(args.input)
     hist = stats.build_histogram(values, bins=args.bins)
-    csv = hist.to_csv()
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(csv)
+            hist.to_csv(fh)
     else:
-        sys.stdout.write(csv)
+        hist.to_csv(sys.stdout)
     return 0
 
 
@@ -321,12 +320,9 @@ def _cmd_quadrature(args):
     values, meta = _generate(args, args.algo, 2 * args.n)
     config = qkdmod.ModulationConfig(variance=args.variance, count=args.n)
     pairs = qkdmod.quadrature_stream(values, config)
-    if args.format == "json":
-        text = qkdmod.pairs_to_json(pairs)
-    else:
-        text = qkdmod.pairs_to_csv(pairs)
+    write = qkdmod.pairs_to_json if args.format == "json" else qkdmod.pairs_to_csv
     with open(args.out, "w") as fh:
-        fh.write(text)
+        write(pairs, fh)
     meta.update({"variance": args.variance, "pairs": args.n,
                  "format": args.format})
     sampleio.write_sidecar(args.out, meta)

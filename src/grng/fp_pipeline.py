@@ -114,7 +114,6 @@ class Binary32(transforms.Float64):
     No flags are formed here; `core_*` add them to the same results.
     """
 
-    mode = "pipeline"
     dtype = np.float32
     log, sin, cos = _in_double(np.log), _in_double(np.sin), _in_double(np.cos)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TEXT_CHUNK = 1 << 16  # pairs formatted at a time: bounds the Python floats alive
+from .sampleio import _write_chunks
 
 __all__ = [
     "ModulationConfig",
@@ -66,19 +66,16 @@ def quadrature_stream(source, config):
     return math.sqrt(config.variance) * g[:needed].reshape(-1, 2)
 
 
-def _pair_chunks(pairs):
-    """(q, p) lists of Python floats, _TEXT_CHUNK pairs at a time."""
-    pairs = np.asarray(pairs, dtype=np.float64)
-    for i in range(0, len(pairs), _TEXT_CHUNK):
-        yield pairs[i:i + _TEXT_CHUNK].tolist()
+def pairs_to_csv(pairs, out):
+    """Write "q,p" then one q,p line per pair to the open text file `out`."""
+    out.write("q,p\n")
+    _write_chunks(out, pairs, lambda c: "".join(f"{q!r},{p!r}\n" for q, p in c))
 
 
-def pairs_to_csv(pairs):
-    return "q,p\n" + "".join("".join(f"{q!r},{p!r}\n" for q, p in chunk)
-                             for chunk in _pair_chunks(pairs))
-
-
-def pairs_to_json(pairs):
-    """The text of one json.dumps of [{"q": q, "p": p}, ...], built by chunks."""
-    return "[" + ", ".join(json.dumps([{"q": q, "p": p} for q, p in chunk])[1:-1]
-                           for chunk in _pair_chunks(pairs)) + "]"
+def pairs_to_json(pairs, out):
+    """Write the text of one json.dumps of [{"q": q, "p": p}, ...] to `out`."""
+    out.write("[")
+    _write_chunks(out, pairs,
+                  lambda c: json.dumps([{"q": q, "p": p} for q, p in c])[1:-1],
+                  sep=", ")
+    out.write("]")

@@ -46,7 +46,7 @@ FORMATS = ("csv", "json", "bin")
 _MODE_CODES = {"reference": 0, "pipeline": 1}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 _DTYPES = {"reference": "<f8", "pipeline": "<f4"}
-_TEXT_CHUNK = 1 << 16  # values formatted per write: bounds the Python floats alive
+_TEXT_CHUNK = 1 << 16  # rows formatted per write: bounds the Python floats alive
 
 
 class ParseError(ValueError):
@@ -58,6 +58,15 @@ def _dtype_for(mode):
         return np.dtype(_DTYPES[mode])
     except KeyError:
         raise ParseError(f"unknown mode {mode!r}") from None
+
+
+def _write_chunks(out, rows, encode, sep=""):
+    """Write encode(chunk) to `out` per _TEXT_CHUNK rows, `sep` between;
+    a chunk is float64 Python floats, as lists of rows for 2-d `rows`."""
+    rows = np.asarray(rows)
+    for i in range(0, len(rows), _TEXT_CHUNK):
+        chunk = rows[i:i + _TEXT_CHUNK].astype(np.float64, copy=False)
+        out.write((sep if i else "") + encode(chunk.tolist()))
 
 
 def write_samples(path, values, mode, fmt):
@@ -74,17 +83,13 @@ def write_samples(path, values, mode, fmt):
             out.write(payload.data)
     elif fmt == "csv":
         with path.open("w") as out:
-            for i in range(0, values.size, _TEXT_CHUNK):
-                chunk = values[i:i + _TEXT_CHUNK].astype(np.float64, copy=False)
-                out.write("\n".join(map(repr, chunk.tolist())) + "\n")
+            _write_chunks(out, values, lambda c: "\n".join(map(repr, c)) + "\n")
     elif fmt == "json":
         head = json.dumps({"magic": MAGIC.decode(), "mode": mode,
                            "count": int(values.size)})
         with path.open("w") as out:
             out.write(head[:-1] + ', "values": [')
-            for i in range(0, values.size, _TEXT_CHUNK):
-                chunk = values[i:i + _TEXT_CHUNK].astype(np.float64, copy=False)
-                out.write((", " if i else "") + json.dumps(chunk.tolist())[1:-1])
+            _write_chunks(out, values, lambda c: json.dumps(c)[1:-1], sep=", ")
             out.write("]}")
     else:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")

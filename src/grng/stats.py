@@ -345,11 +345,12 @@ class Histogram:
     counts: np.ndarray
     total: int
 
-    def to_csv(self):
-        lines = ["bin_lo,bin_hi,count"]
-        for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-            lines.append(f"{float(lo)!r},{float(hi)!r},{int(c)}")
-        return "\n".join(lines) + "\n"
+    def to_csv(self, out):
+        """Write a bin_lo,bin_hi,count header and one line per bin to `out`."""
+        out.write("bin_lo,bin_hi,count\n")
+        edges = self.bin_edges
+        out.writelines(f"{float(lo)!r},{float(hi)!r},{int(c)}\n"
+                       for lo, hi, c in zip(edges[:-1], edges[1:], self.counts))
 
 
 def _as_sample(samples):
@@ -494,6 +495,8 @@ def run_suite(samples, suite=tuple(TESTS), alpha=0.05, bins=8):
     one tail pass over it.  Sample-size checks run first, in canonical
     order, so the error does not depend on the order the tests compute in.
     """
+    if not 0 < alpha < 1:  # NaN too
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     unknown = [name for name in suite if name not in TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {unknown}; expected subset of "

@@ -228,7 +228,6 @@ def arity(algo, k):
 class Float64:
     """Reference evaluator: numpy float64 operations on whole batches."""
 
-    mode = "reference"
     dtype = np.float64
     log, sin, cos, sqrt = np.log, np.sin, np.cos, np.sqrt
     # the operators run numpy's ufuncs on arrays and its scalar fast path
@@ -259,8 +258,6 @@ class StreamResult:
 
     values: np.ndarray
     uniforms_consumed: int
-    algorithm: str
-    mode: str = "reference"
     pairs_proposed: int = 0
     pairs_accepted: int = 0
     core_counts: Optional[dict] = None
@@ -374,7 +371,6 @@ def evaluate(ev, algo, sources, count, clt):
     values = np.concatenate(chunks) if len(chunks) > 2 else chunks[-1]
     return StreamResult(
         values=values[:count], uniforms_consumed=n * proposed,
-        algorithm=algo, mode=ev.mode,
         pairs_proposed=proposed if polar else 0,
         pairs_accepted=accepted if polar else 0,
         core_counts=ev.core_counts(algo, clt.k, accepted, proposed - accepted),

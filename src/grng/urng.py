@@ -424,6 +424,8 @@ class LfsrState:
         `words` words later, by one square-and-multiply (about 160 us at
         order 32), and `steps_taken` grows by words * n.
         """
+        if words < 0:
+            raise ValueError("count must be >= 0")
         n = self.config.order
         self.register = _gf2_pow_x(words * n, self.config.taps, n, self.register)
         self.steps_taken += words * n

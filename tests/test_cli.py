@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -823,8 +824,9 @@ class TestHistCommand:
         write_samples(src, np.array([-1.0, 0.0, 1.0]), "reference", "csv")
         assert run("hist", str(src), "--bins", "2") == 0
         got = capsys.readouterr().out
-        want = stats.build_histogram([-1.0, 0.0, 1.0], bins=2).to_csv()
-        assert got == want
+        want = io.StringIO()
+        stats.build_histogram([-1.0, 0.0, 1.0], bins=2).to_csv(want)
+        assert got == want.getvalue()
 
     def test_bell_shape_mode_near_zero(self, tmp_path):
         src = tmp_path / "bm.bin"

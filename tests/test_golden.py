@@ -7,6 +7,10 @@ words: 157 lanes for box-muller's 5000 words per source, 196 for polar's
 6251 and 313 for each clt summand's 10 000.  Each of polar's 256-word
 top-ups gives 8 lanes.  A change to any of these hashes is a change of
 output bytes and must be called out as such.
+
+The text writers of `quadrature` and `hist` are pinned beside them:
+quadrature at 70 000 pairs, past the first 2^16-row chunk of its text, and
+hist of the seed-1 box-muller reference bin file, to a file and to stdout.
 """
 
 import contextlib
@@ -89,3 +93,34 @@ def _check_golden(tmp_path, algo, mode, fmt):
         assert main(argv) == 0
     sidecar = tmp_path / f"golden.{fmt}.meta.json"
     assert (_sha256(out), _sha256(sidecar)) == GOLDEN[algo, mode, fmt]
+
+
+QUADRATURE = {
+    "csv": ("1fae6076aa91313541e032ac07836e7114b5edca36f365c4908eb313e2d0328c",
+            "69b6bd62d3463bacbe6f78374c932b420e71cee1e61c4efd649f6428febe261a"),
+    "json": ("10270939b3298d64ff444a7498830ce7180f0203dfeaca4c25f2cefde97b9984",
+             "8ee8f0e5f77789564dbb48f381343710afa7504e61b77fe15eb7943f22e6c7d0"),
+}
+HIST = "4b62fa47d7e3b2fd0a8f352eaa1b4cdb6a5fdc2dd6642b9e2b41aec76a464247"
+
+
+@pytest.mark.parametrize("fmt", sorted(QUADRATURE))
+def test_quadrature_output_bytes_pinned(tmp_path, fmt):
+    out = tmp_path / f"pairs.{fmt}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["quadrature", "--n", "70000", "--seed", "1",
+                     "--format", fmt, "--out", str(out)]) == 0
+    sidecar = tmp_path / f"pairs.{fmt}.meta.json"
+    assert (_sha256(out), _sha256(sidecar)) == QUADRATURE[fmt]
+
+
+def test_hist_output_bytes_pinned(tmp_path):
+    _check_golden(tmp_path, "box-muller", "reference", "bin")
+    out = tmp_path / "hist.csv"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["hist", str(tmp_path / "golden.bin"), "--out", str(out)]) == 0
+        assert stdout.getvalue() == ""
+        assert main(["hist", str(tmp_path / "golden.bin")]) == 0
+    assert _sha256(out) == HIST
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == HIST

@@ -1,11 +1,15 @@
+import functools
+import io
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _fixtures import make_sources
-from grng import qkdmod, transforms
+from grng import qkdmod, sampleio, stats, transforms
 from grng.qkdmod import (
     ModulationConfig,
     SourceExhaustedError,
@@ -77,28 +81,58 @@ class TestQuadratureStream:
         assert abs(corr) < 5.0 / math.sqrt(n)
 
 
+def _text(write, pairs):
+    out = io.StringIO()
+    write(pairs, out)
+    return out.getvalue()
+
+
 class TestExports:
     def test_csv(self):
         pairs = [[0.5, -1.5], [2.0, 0.25]]
-        text = pairs_to_csv(pairs)
+        text = _text(pairs_to_csv, pairs)
         assert text.splitlines()[0] == "q,p"
         assert text.splitlines()[1] == "0.5,-1.5"
 
     def test_json_round_trip(self):
         pairs = [[0.5, -1.5], [2.0, 0.25]]
-        doc = json.loads(pairs_to_json(pairs))
+        doc = json.loads(_text(pairs_to_json, pairs))
         assert doc == [{"q": 0.5, "p": -1.5}, {"q": 2.0, "p": 0.25}]
 
-    @pytest.mark.parametrize("size", [0, 1, qkdmod._TEXT_CHUNK - 1,
-                                      qkdmod._TEXT_CHUNK,
-                                      qkdmod._TEXT_CHUNK + 1,
-                                      3 * qkdmod._TEXT_CHUNK + 5])
+    @pytest.mark.parametrize("size", [0, 1, sampleio._TEXT_CHUNK - 1,
+                                      sampleio._TEXT_CHUNK,
+                                      sampleio._TEXT_CHUNK + 1,
+                                      3 * sampleio._TEXT_CHUNK + 5])
     def test_json_writer_matches_one_dumps(self, size):
         pairs = np.random.default_rng(size).standard_normal((size, 2))
         # NaN and +-inf, two of them on either side of the chunk boundary
-        chunk = qkdmod._TEXT_CHUNK
+        chunk = sampleio._TEXT_CHUNK
         for i, v in zip((0, chunk - 1, chunk), (np.nan, np.inf, -np.inf)):
             if i < size:
                 pairs[i, i % 2] = v
         want = json.dumps([{"q": q, "p": p} for q, p in pairs.tolist()])
-        assert pairs_to_json(pairs) == want
+        assert _text(pairs_to_json, pairs) == want
+
+
+@pytest.mark.parametrize("writer", ["pairs_to_csv", "pairs_to_json",
+                                    "Histogram.to_csv"])
+def test_text_writers_hold_one_chunk(monkeypatch, writer):
+    """Writing into a file, a text writer's memory peak does not grow with
+    the output: four chunks' worth of rows peak as one chunk's do."""
+    chunk = 1 << 12  # smaller chunks, as tracing slows every allocation
+    monkeypatch.setattr(sampleio, "_TEXT_CHUNK", chunk)
+    peaks = []
+    with open(os.devnull, "w") as sink:
+        for rows in (chunk, 4 * chunk):
+            pairs = np.random.default_rng(rows).standard_normal((rows, 2))
+            if writer == "Histogram.to_csv":
+                write = stats.build_histogram(pairs[:, 0], bins=rows).to_csv
+            else:
+                write = functools.partial(getattr(qkdmod, writer), pairs)
+            tracemalloc.start()
+            try:
+                write(sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -291,7 +292,9 @@ class TestHistogram:
 
     def test_csv_export(self):
         h = build_histogram([-1.0, 0.0, 1.0], bins=2, range=(-1.0, 1.0))
-        lines = h.to_csv().strip().splitlines()
+        text = io.StringIO()
+        h.to_csv(text)
+        lines = text.getvalue().strip().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count"
         assert lines[1] == "-1.0,0.0,1"
         assert lines[2] == "0.0,1.0,2"
@@ -513,6 +516,10 @@ class TestReportSemantics:
         with pytest.raises(ValueError):
             run_suite(xs, suite=("chi2", "cvm"))
         assert run_suite(xs, suite=()) == []
+        # alpha outside (0, 1) would reject every test, and NaN none
+        for alpha in (0, 1, 7.0, math.nan):
+            with pytest.raises(ValueError, match="alpha must be in"):
+                run_suite(xs, alpha=alpha)
 
 
 class TestBatteryBehavior:

@@ -294,9 +294,10 @@ class TestBulk:
         assert np.array_equal(bulk, scalar)
         assert a.register == b.register
         assert a.steps_taken == b.steps_taken
-        with pytest.raises(ValueError, match="count must be >= 0"):
-            a.words(-1)
-        assert a.steps_taken == b.steps_taken
+        for refused in (a.words, a.jump):
+            with pytest.raises(ValueError, match="count must be >= 0"):
+                refused(-1)
+            assert (a.register, a.steps_taken) == (b.register, b.steps_taken)
 
     def test_bulk_resumes_exactly(self):
         cfg = primitive_config(32, seed=5)
