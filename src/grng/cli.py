@@ -241,6 +241,8 @@ def _generate(args, algo, count):
     core_counts = sum((Counter(r.core_counts) for r in results), Counter())
     if core_counts:
         meta["core_counts"] = dict(sorted(core_counts.items()))
+    if len(results) == 1:  # one shard's values as they are, not a copy
+        return results[0].values, meta
     return np.concatenate([r.values for r in results]), meta
 
 

@@ -305,13 +305,27 @@ def _recorded(core, op):
     return recorded
 
 
+def _scalar_in_double(op):
+    """A traced LOG/SIN/COS result: `Binary32`'s float64 ufunc `op` on the
+    operand as a Python float, which skips boxing it to np.float64."""
+    return lambda x: np.float32(op(float(x)))
+
+
+_SCALAR_OPS = {name: _scalar_in_double(getattr(np, name))
+               for name in ("log", "sin", "cos")}
 for _core, (_op, _) in _CORES.items():
-    setattr(PipelineTrace, _core, _recorded(_core, _op))
+    setattr(PipelineTrace, _core, _recorded(_core, _SCALAR_OPS.get(_core, _op)))
 
 
 def uniform_to_f32(word, order):
     """Convert an n-bit LFSR word to the binary32 nearest word / 2**n."""
     return np.float32(float(word) * 2.0 ** -order)
+
+
+#: Each architecture under one np.errstate(all="ignore"), made once: a
+#: traced pass records floating-point errors as flags, not warnings.
+_QUIET_ARCHITECTURES = {algo: _quiet()(graph)
+                        for algo, graph in transforms.ARCHITECTURES.items()}
 
 
 def run_graph(algo, inputs, *, k=None):
@@ -330,8 +344,7 @@ def run_graph(algo, inputs, *, k=None):
         raise transforms.LengthMismatchError(
             f"{algo} graph takes {n} inputs, got {len(xs)}")
     try:
-        with _quiet():
-            outputs = transforms.ARCHITECTURES[algo](t, xs)
+        outputs = _QUIET_ARCHITECTURES[algo](t, xs)
     except _Rejected:
         return [], t
     return list(outputs), t

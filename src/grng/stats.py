@@ -21,8 +21,11 @@ searching the cut points in the sorted sample.  One erfc pass over the
 sorted copy, which it takes over, then yields the smaller tail
 Phi(-|y|) and its logarithm for both AD and KS, so each side of the
 normal distribution is computed in one place.  KS reads the tail before
-AD reuses its buffer.  p-values are always numeric; values that
-underflow double precision render as "< 1e-300" in reports.
+AD reuses its buffer.  The positive values of the sorted copy are a
+suffix, found by one searchsorted, so neither test needs a mask: KS and AD
+work in the sorted copy and the tail buffer with block-sized scratch only.
+p-values are always numeric; values that underflow double precision
+render as "< 1e-300" in reports.
 
 The erfc pass is a numpy port of fdlibm's erfc (Cody's rational
 approximations, on pieces cut at 0.84375, 1.25, 1/0.35 and 28).  In the
@@ -50,6 +53,8 @@ from statistics import NormalDist
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
+
+from . import sampleio
 
 __all__ = [
     "EmptySampleError",
@@ -346,11 +351,22 @@ class Histogram:
     total: int
 
     def to_csv(self, out):
-        """Write a bin_lo,bin_hi,count header and one line per bin to `out`."""
+        """Write a bin_lo,bin_hi,count header and one line per bin to `out`.
+
+        Lines are formatted from Python floats and ints, `sampleio`'s text
+        chunk of bins at a time, so the Python objects alive stay bounded.
+        """
         out.write("bin_lo,bin_hi,count\n")
-        edges = self.bin_edges
-        out.writelines(f"{float(lo)!r},{float(hi)!r},{int(c)}\n"
-                       for lo, hi, c in zip(edges[:-1], edges[1:], self.counts))
+        step = sampleio._TEXT_CHUNK
+        for i in range(0, self.counts.size, step):
+            out.write(_csv_lines(self.bin_edges[i:i + step + 1].tolist(),
+                                 self.counts[i:i + step].tolist()))
+
+
+def _csv_lines(edges, counts):
+    """The bin_lo,bin_hi,count lines of the bins between `edges`."""
+    return "".join(f"{lo!r},{hi!r},{c}\n"
+                   for lo, hi, c in zip(edges, edges[1:], counts))
 
 
 def _as_sample(samples):
@@ -402,15 +418,16 @@ def _chi2(ys, alpha, bins):
 
 
 def _ks(t, upper, alpha):
-    """KS report from the tail t of the sorted sample; t is only read."""
+    """KS report from the tail t of the sorted sample, whose positive values
+    start at index `upper`; t is only read."""
     n = t.size
     d = 0.0
     # in blocks, so the scratch arrays stay small; D is the largest over all
     for lo in range(0, n, _BLOCK):
-        hi = lo + _BLOCK
         # Phi(y) = t up to the median, 1 - t above it
-        cdf = t[lo:hi].copy()
-        np.subtract(1.0, cdf, out=cdf, where=upper[lo:hi])
+        cdf = t[lo:lo + _BLOCK].copy()
+        above = cdf[max(upper - lo, 0):]
+        np.subtract(1.0, above, out=above)
         i = np.arange(lo + 1, lo + 1 + cdf.size, dtype=np.float64)
         d = max(d, float(np.max(i / n - cdf)), float(np.max(cdf - (i - 1.0) / n)))
     lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
@@ -419,16 +436,24 @@ def _ks(t, upper, alpha):
 
 
 def _ad(t, log_t, upper, alpha):
-    """AD report from the tail t and log t of the sorted sample; uses up t."""
+    """AD report from the tail t and log t of the sorted sample, whose
+    positive values start at index `upper`; uses up t and log t.
+
+    Works in the two buffers it is given, with block-sized scratch only.
+    """
     n = t.size
-    # log Phi(y) is log(1 - t) above the median and log t below it, and
-    # log Phi(-y) the other way round.  log_sf starts as log(1 - t) in t's
-    # buffer; the in-place steps keep the peak memory low
-    log_sf = np.log1p(np.negative(t, out=t), out=t)
-    log_cdf = np.where(upper, log_sf, log_t)
-    np.copyto(log_sf, log_t, where=upper)
+    # log Phi(y) is log t up to the median and log(1 - t) above it, and
+    # log Phi(-y) the other way round: log(1 - t) is formed in t's buffer,
+    # and the two buffers trade their values above the median
+    log_cdf, log_sf = log_t, np.log1p(np.negative(t, out=t), out=t)
+    for lo in range(upper, n, _BLOCK):
+        head = log_cdf[lo:lo + _BLOCK].copy()
+        log_cdf[lo:lo + _BLOCK] = log_sf[lo:lo + _BLOCK]
+        log_sf[lo:lo + _BLOCK] = head
     log_cdf += log_sf[::-1]
-    log_cdf *= 2.0 * np.arange(1, n + 1, dtype=np.float64) - 1.0
+    for lo in range(0, n, _BLOCK):
+        part = log_cdf[lo:lo + _BLOCK]
+        part *= 2.0 * np.arange(lo + 1, lo + 1 + part.size, dtype=np.float64) - 1.0
     a2 = -n - float(np.sum(log_cdf)) / n
     p = anderson_darling_sf(a2)
     return TestReport("ad", a2, p, rejected=p < alpha, alpha=alpha)
@@ -523,7 +548,8 @@ def run_suite(samples, suite=tuple(TESTS), alpha=0.05, bins=8):
     if "chi2" in wanted:
         reports["chi2"] = _chi2(ys, alpha, bins)
     if "ad" in wanted or "ks" in wanted:
-        upper = ys > 0.0
+        # the sample is sorted: its positive values are a suffix
+        upper = int(np.searchsorted(ys, 0.0, side="right"))
         t, log_t = _normal_tail(ys)
         if "ks" in wanted:  # before AD, which turns t into log(1 - t)
             reports["ks"] = _ks(t, upper, alpha)

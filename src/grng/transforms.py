@@ -21,7 +21,8 @@ written once, in `ARCHITECTURES`, as a function of an evaluator that
 supplies log, sin, cos, sqrt, mul, add and div: `Float64` here (reference
 mode), and the binary32 and traced binary32 evaluators of `fp_pipeline`.
 `evaluate` is the one batch driver of both modes, and `stream` its entry;
-it cuts each round of passes into blocks that run on every core.
+it cuts each round of passes into blocks that run on every core, and each
+block draws its passes in steps of bounded size.
 `arity` owns the number of uniforms one pass reads, which sizes the sources
 here, the traced passes of `fp_pipeline` and the LFSR streams of `cli`.
 """
@@ -269,6 +270,13 @@ class StreamResult:
 #: thread did not pay on a 2-vCPU host: 2^16-pass blocks made clt slower.
 _MIN_BLOCK = 1 << 17
 
+#: Most passes a block draws at once, so that its uniforms and the
+#: architecture's temporaries stay bounded whatever the block's length.
+#: Smaller steps cost clt time: each step makes k `words` calls that hold
+#: the GIL, and on a 2-vCPU host 4x10^6 clt samples on two threads took
+#: 0.48 s in 2^16-pass steps against 0.32 s in 2^18-pass steps.
+_STEP = 1 << 18
+
 
 def _cores():
     """CPUs this process may run on."""
@@ -324,8 +332,11 @@ def evaluate(ev, algo, sources, count, clt):
     round of passes is cut into contiguous blocks (`_block_starts`): block
     b draws from every source jumped ahead to its first word, the blocks
     run on as many threads as there are blocks, and their outputs are kept
-    in order.  So the bytes, the accounting and the sources' final state
-    are those of one block, whatever the thread count.
+    in order.  A block draws at most `_STEP` passes at a time: box-muller
+    and clt write each step into the block's rows of the round, and polar
+    keeps each step's accepted rows.  As `words(a)` then `words(b)` is
+    `words(a + b)`, the bytes, the accounting and the sources' final state
+    are those of one block of one step, whatever the thread count.
     """
     n = arity(algo, clt.k)
     if count < 0:
@@ -340,11 +351,22 @@ def evaluate(ev, algo, sources, count, clt):
 
     def block(srcs, a, b, out):
         """Passes a to b of the round from `srcs`, which stand at its first
-        word, stacked into `out` (None: a new array)."""
-        inputs = (src.jump(a).uniforms(b - a, ev.dtype) for src in srcs)
-        if polar:
-            inputs = [two * u - one for u in inputs]
-        return np.stack(graph(ev, inputs), axis=1, out=out)
+        word, drawn `_STEP` passes at a time.  Rows are stacked into `out`;
+        polar, whose accepted count is known only once a step has run,
+        returns its steps' accepted rows instead."""
+        if a:
+            for src in srcs:
+                src.jump(a)
+        steps = []
+        for lo in range(0, b - a, _STEP):
+            hi = min(lo + _STEP, b - a)
+            inputs = (src.uniforms(hi - lo, ev.dtype) for src in srcs)
+            if polar:
+                inputs = [two * u - one for u in inputs]
+                steps.append(np.stack(graph(ev, inputs), axis=1))
+            else:
+                np.stack(graph(ev, inputs), axis=1, out=out[lo:hi])
+        return steps
 
     chunks = [np.empty(0, dtype=ev.dtype)]  # all there is when count == 0
     have = proposed = 0
@@ -359,12 +381,13 @@ def evaluate(ev, algo, sources, count, clt):
         # `sources` themselves, so the round leaves them where one block would
         srcs = [[copy.copy(src) for src in sources] for _ in starts[1:]] + [sources]
         # a fixed-width round is written in place; polar's accepted count
-        # is known only once each block has run
+        # is known only once each step has run
         rows = None if polar else np.empty((passes, width), dtype=ev.dtype)
         outs = _in_threads([
             functools.partial(block, s, a, b, None if polar else rows[a:b])
             for s, a, b in zip(srcs, starts, starts[1:] + [passes])])
-        chunks.extend(out.reshape(-1) for out in (outs if polar else [rows]))
+        outs = [step for steps in outs for step in steps] if polar else [rows]
+        chunks.extend(out.reshape(-1) for out in outs)
         have += sum(out.size for out in outs)
         proposed += passes
     accepted = have // width
@@ -390,9 +413,11 @@ def stream(algo, sources, count, *, mode="reference", clt=CltConfig()):
     A round of at least 2 * `_MIN_BLOCK` passes is cut into equal blocks,
     one per CPU this process may run on (`os.sched_getaffinity`), each
     drawing from the sources jumped to its first word and run on a thread
-    of its own in a copy of the caller's context.  The output, the
-    accounting and the sources' final `register` and `steps_taken` do not
-    depend on the thread count; an exception in a block is raised here.
+    of its own in a copy of the caller's context, and drawn `_STEP` passes
+    at a time, so the memory beyond the output stays bounded per block.
+    The output, the accounting and the sources' final `register` and
+    `steps_taken` do not depend on the thread count or the step; an
+    exception in a block is raised here.
     """
     if mode == "pipeline":
         from . import fp_pipeline

@@ -37,10 +37,11 @@ its row of the output.
 `LfsrState.jump(words)` is the one jump of a whole stream: it moves the
 register `words` words on, to register * x^(words * n) mod f, by one
 square-and-multiply (jump-ahead substreams, L'Ecuyer, Simard, Chen &
-Kelton, Oper. Res. 50(6), 2002).  `words` ends with it, and the batch
-driver `transforms.evaluate` starts each block of a round from copies of
-the sources jumped to the block's first word, so the words of a block do
-not depend on how a round is cut.
+Kelton, Oper. Res. 50(6), 2002).  `words` takes its end register from
+its last lane and jumps only the fewer than K words past that lane's last
+whole block, and the batch driver `transforms.evaluate` starts each block
+of a round from copies of the sources jumped to the block's first word, so
+the words of a block do not depend on how a round is cut.
 """
 
 from __future__ import annotations
@@ -456,8 +457,9 @@ class LfsrState:
         the least that covers `count`; the jump between lane starts is
         entry m of the jump chain of `_block_tables`.  Each lane advances
         one block per lookup, writing its words straight into its row of
-        the output.  The register after `count` words is `jump(count)` of
-        the starting one.
+        the output.  The register after `count` words, that of
+        `jump(count)`, is the last lane's after its last whole block within
+        `count`, jumped the fewer than _BLOCK words left.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
@@ -469,12 +471,19 @@ class LfsrState:
         per_lane = _BLOCK << m
         lanes = -(-count // per_lane)
         state = self._lane_starts(lanes, jumps[m:])
+        # words of the last lane's whole blocks within `count`
+        whole = count - (lanes - 1) * per_lane - count % _BLOCK
+        end = state[-1]
         words = np.empty((lanes, per_lane), dtype=block.dtype)
         for k in range(0, per_lane, _BLOCK):
             nxt = _lookup(block, state)
             words[:, k:k + _BLOCK] = nxt[:, :_BLOCK]
             state = nxt[:, _BLOCK]
-        self.jump(count)
+            if k + _BLOCK == whole:
+                end = state[-1]
+        self.register = int(end)
+        self.steps_taken += (count - count % _BLOCK) * n
+        self.jump(count % _BLOCK)
         return words.reshape(-1)[:count]
 
     def uniforms(self, count, dtype=np.float64):

@@ -420,9 +420,9 @@ class TestGen:
     def test_blocks_keep_bytes_and_sidecars(self, tmp_path, monkeypatch, algo,
                                             mode):
         """gen at 10^6, and at an odd n over 3 shards, writes the bytes and
-        sidecar of one block per round at 1-4 threads."""
+        sidecar of one block per round at 1-4 threads, drawn in steps."""
         def gen(threads, *argv):
-            cut_rounds(monkeypatch, threads, 1 << 12)
+            cut_rounds(monkeypatch, threads, 1 << 12, step=(1 << 15) + 1)
             out = tmp_path / f"{threads}.bin"
             assert run("gen", "--algo", algo, "--mode", mode, "--seed", "19",
                        *argv, "--out", str(out)) == 0

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -542,6 +543,29 @@ class TestTraceGate:
         assert json.loads(json.dumps(doc)) == doc
 
     SPECIALS = [0.0, -0.0, 1.0, 2.0 ** -149, -(2.0 ** -130), math.nan]
+
+    EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0 ** -149, -(2.0 ** -130),
+             2.0 ** -126, 3.4e38, math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
+    def test_records_equal_the_public_cores(self, algo):
+        """Every traced record, flags and to_dict entry equals the public
+        core's on its operands, and a pass over edge operands warns of
+        nothing, whatever the caller's errstate."""
+        for a in self.EDGES:
+            for b in self.EDGES:
+                with warnings.catch_warnings(), np.errstate(all="raise"):
+                    warnings.simplefilter("error")
+                    _, t = run_graph(algo, [F(a), F(b)])
+                    doc = t.to_dict()
+                want = [getattr(fp, f"core_{core}")(*inputs)
+                        for core, inputs, _ in t.records]
+                got = t.results()
+                assert [bits_of(r.result) for r in got] == \
+                    [bits_of(r.result) for r in want], (a, b)
+                assert [r.flags for r in got] == [r.flags for r in want]
+                assert [rec["flags"] for rec in doc["records"]] == \
+                    [{n: bool(on) for n, on in r.flags.items()} for r in want]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st_.data(), algo=st_.sampled_from(transforms.ALGORITHMS))

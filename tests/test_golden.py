@@ -11,6 +11,9 @@ output bytes and must be called out as such.
 The text writers of `quadrature` and `hist` are pinned beside them:
 quadrature at 70 000 pairs, past the first 2^16-row chunk of its text, and
 hist of the seed-1 box-muller reference bin file, to a file and to stdout.
+The chi2/ad/ks battery is pinned on `gen --n 200000 --seed 1` of every
+algorithm and mode: about 10^5 values on each side of zero, so the tail
+pass and both tests cross `stats._BLOCK` (2^16) on either side.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ import io
 import pytest
 
 from _fixtures import cut_rounds
+from grng import sampleio, stats
 from grng.cli import main
 
 N = 10_000
@@ -124,3 +128,44 @@ def test_hist_output_bytes_pinned(tmp_path):
         assert main(["hist", str(tmp_path / "golden.bin")]) == 0
     assert _sha256(out) == HIST
     assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == HIST
+
+
+# float.hex of (statistic, p-value) of each test of `run_suite`
+BATTERY = {
+    ("box-muller", "reference"): {
+        "chi2": ("0x1.b50870110a138p+1", "0x1.b03d0553d071dp-1"),
+        "ad": ("0x1.93fb082d00000p-2", "0x1.b5550fd38ce40p-1"),
+        "ks": ("0x1.54fdf77671800p-10", "0x1.c64f436f0606fp-1")},
+    ("box-muller", "pipeline"): {
+        "chi2": ("0x1.b50870110a138p+1", "0x1.b03d0553d071dp-1"),
+        "ad": ("0x1.93fb342700000p-2", "0x1.b554fa2692dc9p-1"),
+        "ks": ("0x1.55017cb7ae400p-10", "0x1.c64b84b33617fp-1")},
+    ("polar", "reference"): {
+        "chi2": ("0x1.078feef5ec80cp+2", "0x1.883a88acc5500p-1"),
+        "ad": ("0x1.bb9eb29f00000p-2", "0x1.a169a3a8b5496p-1"),
+        "ks": ("0x1.74319e44cce80p-10", "0x1.a1193e8ea9ac2p-1")},
+    ("polar", "pipeline"): {
+        "chi2": ("0x1.078feef5ec80cp+2", "0x1.883a88acc5500p-1"),
+        "ad": ("0x1.bb9ea22f80000p-2", "0x1.a169ac093f2a0p-1"),
+        "ks": ("0x1.7433668af4d80p-10", "0x1.a116eb45088aap-1")},
+    ("clt", "reference"): {
+        "chi2": ("0x1.5e754f3775b81p+5", "0x1.f4197c84a3decp-23"),
+        "ad": ("0x1.23fd66468c000p+3", "0x1.cf05a1b230000p-16"),
+        "ks": ("0x1.68d65cb6ed4a0p-8", "0x1.6919298918c2ap-17")},
+    ("clt", "pipeline"): {
+        "chi2": ("0x1.5e754f3775b81p+5", "0x1.f4197c84a3decp-23"),
+        "ad": ("0x1.23fd6730d4000p+3", "0x1.cf058f3768000p-16"),
+        "ks": ("0x1.68d90622eafe0p-8", "0x1.68d88c2ea60dfp-17")},
+}
+
+
+@pytest.mark.parametrize("algo,mode", sorted(BATTERY))
+def test_battery_pinned(tmp_path, algo, mode):
+    out = tmp_path / "battery.bin"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--algo", algo, "--mode", mode, "--n", "200000",
+                     "--seed", "1", "--out", str(out)]) == 0
+    values, _mode = sampleio.read_samples(out)
+    reports = stats.run_suite(values)
+    assert {r.test_name: (r.statistic.hex(), r.p_value.hex())
+            for r in reports} == BATTERY[algo, mode]

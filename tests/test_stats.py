@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -520,6 +521,19 @@ class TestReportSemantics:
         for alpha in (0, 1, 7.0, math.nan):
             with pytest.raises(ValueError, match="alpha must be in"):
                 run_suite(xs, alpha=alpha)
+
+
+def test_run_suite_holds_one_sorted_copy_and_its_tail():
+    """Past the sorted copy and the tail, the battery's scratch is bounded:
+    the memory peak stays below 2.6 times the sample's own bytes."""
+    xs = np.random.default_rng(7).standard_normal(1 << 20)
+    tracemalloc.start()
+    try:
+        run_suite(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * xs.nbytes, peak / xs.nbytes
 
 
 class TestBatteryBehavior:

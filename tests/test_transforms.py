@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,7 +293,8 @@ class TestBlocks:
         with np.errstate(divide="ignore"):
             transforms.evaluate(Recording, "box-muller", make_sources(1, 2),
                                 20_000, CltConfig())
-        assert seen == ["ignore"] * 4
+        # one log per step: four blocks of 2500 passes
+        assert seen == ["ignore"] * 4 * -(-2500 // transforms._STEP)
 
         def log_zero():
             return np.log(np.zeros(3))
@@ -350,6 +352,18 @@ class TestBlocks:
         with pytest.raises(RuntimeError, match="can't start new thread"):
             transforms._in_threads([lambda: 1] + [lambda: time.sleep(0.2)] * 2)
         assert len(started) == 1 and not started[0].is_alive()
+
+    def test_blocks_draw_in_bounded_steps(self, monkeypatch):
+        """clt k=12 over two blocks peaks below three times its output: each
+        block draws `_STEP` passes at a time into the output it fills."""
+        monkeypatch.setattr(transforms, "_cores", lambda: 2)
+        tracemalloc.start()
+        try:
+            values = stream("clt", make_sources(5, 12), 1 << 20).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * values.nbytes, peak / values.nbytes
 
     def test_short_runs_start_no_thread(self, monkeypatch):
         def refuse(self):

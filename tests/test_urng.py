@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -386,6 +387,22 @@ class TestBulk:
         assert np.array_equal(jumped.words(second), parts[first:])
         assert (jumped.register, jumped.steps_taken) == \
             (whole.register, whole.steps_taken)
+
+    @pytest.mark.parametrize("order", range(2, 65))
+    def test_words_end_where_jump_does(self, order):
+        """words(c) leaves the register and step count of jump(c), with c
+        on either side of a block and of a full set of one-block lanes, and
+        ending one and 31 words past a whole block of a longer last lane."""
+        rng = random.Random(order)
+        taps = (1 << order) | rng.getrandbits(order - 1) << 1 | 1
+        seed = rng.randrange(1, 1 << order)
+        for count in (1, 31, 32, 33, LANES * BLOCK - 1, LANES * BLOCK + 1,
+                      LANES * BLOCK + 33, 3 * LANES * BLOCK - 1):
+            cfg = LfsrConfig(order=order, taps=taps, seed=seed)
+            drawn, jumped = LfsrState(cfg), LfsrState(cfg).jump(count)
+            drawn.words(count)
+            assert (drawn.register, drawn.steps_taken) == \
+                (jumped.register, jumped.steps_taken), count
 
     @pytest.mark.parametrize("poly", [
         PRIMITIVE_BY_ORDER[8], PRIMITIVE_BY_ORDER[32], PRIMITIVE_BY_ORDER[64],
