@@ -22,7 +22,8 @@ supplies log, sin, cos, sqrt, mul, add and div: `Float64` here (reference
 mode), and the binary32 and traced binary32 evaluators of `fp_pipeline`.
 `evaluate` is the one batch driver of both modes, and `stream` its entry;
 it cuts each round of passes into blocks that run on every core, and each
-block draws its passes in steps of bounded size.
+block writes its passes in steps of bounded size into one output buffer,
+whose gaps (polar's rejections) are closed in place.
 `arity` owns the number of uniforms one pass reads, which sizes the sources
 here, the traced passes of `fp_pipeline` and the LFSR streams of `cli`.
 """
@@ -331,12 +332,11 @@ def evaluate(ev, algo, sources, count, clt):
     The batch driver of both modes; see `stream` for the contract.  Each
     round of passes is cut into contiguous blocks (`_block_starts`): block
     b draws from every source jumped ahead to its first word, the blocks
-    run on as many threads as there are blocks, and their outputs are kept
-    in order.  A block draws at most `_STEP` passes at a time: box-muller
-    and clt write each step into the block's rows of the round, and polar
-    keeps each step's accepted rows.  As `words(a)` then `words(b)` is
-    `words(a + b)`, the bytes, the accounting and the sources' final state
-    are those of one block of one step, whatever the thread count.
+    run on as many threads as there are blocks, and each stacks its steps
+    of at most `_STEP` passes into one buffer from the row of its first
+    pass on; the gaps polar's rejections leave are closed after the round.
+    As `words(a)` then `words(b)` is `words(a + b)`, the bytes, the
+    accounting and the sources' final state are those of one unsplit step.
     """
     n = arity(algo, clt.k)
     if count < 0:
@@ -347,56 +347,53 @@ def evaluate(ev, algo, sources, count, clt):
     polar = algo == "polar"
     width = 1 if algo == "clt" else 2
     graph = ARCHITECTURES[algo]
-    one, two = ev.dtype(1.0), ev.dtype(2.0)
 
-    def block(srcs, a, b, out):
+    def block(srcs, a, b, at):
         """Passes a to b of the round from `srcs`, which stand at its first
-        word, drawn `_STEP` passes at a time.  Rows are stacked into `out`;
-        polar, whose accepted count is known only once a step has run,
-        returns its steps' accepted rows instead."""
+        word, stacked into `rows` from row `at` on; returns the row after."""
         if a:
             for src in srcs:
                 src.jump(a)
-        steps = []
-        for lo in range(0, b - a, _STEP):
-            hi = min(lo + _STEP, b - a)
+        for lo in range(a, b, _STEP):
+            hi = min(lo + _STEP, b)
             inputs = (src.uniforms(hi - lo, ev.dtype) for src in srcs)
             if polar:
-                inputs = [two * u - one for u in inputs]
-                steps.append(np.stack(graph(ev, inputs), axis=1))
-            else:
-                np.stack(graph(ev, inputs), axis=1, out=out[lo:hi])
-        return steps
+                inputs = (ev.dtype(2.0) * u - ev.dtype(1.0) for u in inputs)
+            outs = graph(ev, inputs)
+            np.stack(outs, axis=1, out=rows[at:at + len(outs[0])])
+            at += len(outs[0])
+            del outs  # freed before the next step is drawn
+        return at
 
-    chunks = [np.empty(0, dtype=ev.dtype)]  # all there is when count == 0
+    need = -(-count // width)
+    # polar under-proposes slightly (acceptance rate is pi/4 ~ 0.785) so the
+    # final top-up rounds stay small and consumption stays near 4/pi.  As
+    # have + int((need - have) / 0.80) + 1 <= int(need / 0.80) + 1, and the
+    # 256-pass floor adds at most 255 rows, no round writes past `rows`.
+    rows = np.empty((int(need / 0.80) + 256 if polar else need, width), ev.dtype)
     have = proposed = 0
-    while have < count:
-        passes = -(-(count - have) // width)
-        if polar:
-            # under-propose slightly (acceptance rate is pi/4 ~ 0.785) so the
-            # final top-up blocks stay small and consumption stays near 4/pi
-            passes = max(256, int(passes / 0.80) + 1)
+    while have < need:
+        passes = max(256, int((need - have) / 0.80) + 1) if polar else need - have
         starts = _block_starts(passes)
         # every block but the last draws from copies; the last from
         # `sources` themselves, so the round leaves them where one block would
         srcs = [[copy.copy(src) for src in sources] for _ in starts[1:]] + [sources]
-        # a fixed-width round is written in place; polar's accepted count
-        # is known only once each step has run
-        rows = None if polar else np.empty((passes, width), dtype=ev.dtype)
-        outs = _in_threads([
-            functools.partial(block, s, a, b, None if polar else rows[a:b])
+        ends = _in_threads([
+            functools.partial(block, s, a, b, have + a)
             for s, a, b in zip(srcs, starts, starts[1:] + [passes])])
-        outs = [step for steps in outs for step in steps] if polar else [rows]
-        chunks.extend(out.reshape(-1) for out in outs)
-        have += sum(out.size for out in outs)
+        for at, end in zip([have + a for a in starts], ends):
+            # move the block's rows down to `have` in ascending `_STEP`-row
+            # chunks, which never overwrite rows still to move
+            for lo in range(at, end, _STEP) if at > have else ():
+                hi = min(lo + _STEP, end)
+                rows[have + lo - at:have + hi - at] = rows[lo:hi]
+            have += end - at
         proposed += passes
-    accepted = have // width
-    values = np.concatenate(chunks) if len(chunks) > 2 else chunks[-1]
     return StreamResult(
-        values=values[:count], uniforms_consumed=n * proposed,
+        values=rows.reshape(-1)[:count], uniforms_consumed=n * proposed,
         pairs_proposed=proposed if polar else 0,
-        pairs_accepted=accepted if polar else 0,
-        core_counts=ev.core_counts(algo, clt.k, accepted, proposed - accepted),
+        pairs_accepted=have if polar else 0,
+        core_counts=ev.core_counts(algo, clt.k, have, proposed - have),
     )
 
 
@@ -413,8 +410,10 @@ def stream(algo, sources, count, *, mode="reference", clt=CltConfig()):
     A round of at least 2 * `_MIN_BLOCK` passes is cut into equal blocks,
     one per CPU this process may run on (`os.sched_getaffinity`), each
     drawing from the sources jumped to its first word and run on a thread
-    of its own in a copy of the caller's context, and drawn `_STEP` passes
-    at a time, so the memory beyond the output stays bounded per block.
+    of its own in a copy of the caller's context.  Blocks write `_STEP`
+    passes at a time into one buffer, so the memory beyond it stays bounded
+    per block.  Polar's buffer fits its largest rounds, about 1.25 * `count`
+    values: `values` is a view of its start, and its tail is never touched.
     The output, the accounting and the sources' final `register` and
     `steps_taken` do not depend on the thread count or the step; an
     exception in a block is raised here.

@@ -278,6 +278,26 @@ class TestBlocks:
                              [(s.register, s.steps_taken) for s in sources]))
             assert all(run == runs[0] for run in runs[1:]), (count, k)
 
+    @pytest.mark.parametrize("mode", ["reference", "pipeline"])
+    @pytest.mark.parametrize("step", [1 << 10, 1 << 20])
+    def test_polar_rows_move_over_themselves(self, monkeypatch, step, mode):
+        """Polar's blocks close their gaps in chunks that overlap where they
+        land, as at 10^6 values, where a block's gap is about a fifth of it
+        and under `_STEP`: a 2^10-pass step lies between the gap and the
+        block, a 2^20-pass one moves each block at once.  Bytes, accounting
+        and each source's end state are those of one block at 1-4 threads."""
+        for count in (12_345, 40_000, 9_001):
+            runs = []
+            for threads in (0, 1, 2, 3, 4):
+                cut_rounds(monkeypatch, threads, step=step)
+                sources = make_sources(77, 2)
+                res = stream("polar", sources, count, mode=mode)
+                runs.append((res.values.tobytes(), res.values.dtype,
+                             res.uniforms_consumed, res.pairs_proposed,
+                             res.pairs_accepted, res.core_counts,
+                             [(s.register, s.steps_taken) for s in sources]))
+            assert all(run == runs[0] for run in runs[1:]), count
+
     def test_blocks_run_in_the_callers_context(self, monkeypatch):
         """Each block sees the caller's np.errstate, as numpy keeps it in a
         context variable that a bare thread does not inherit."""
@@ -364,6 +384,22 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * values.nbytes, peak / values.nbytes
+
+    @pytest.mark.parametrize("mode", ["reference", "pipeline"])
+    @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
+    def test_output_is_held_once(self, monkeypatch, algo, mode):
+        """Every algorithm stacks its steps straight into one buffer: 2^20
+        values over two blocks of 2^14-pass steps peak at no more than 1.6
+        times the output, polar's unused tail included."""
+        cut_rounds(monkeypatch, 2, min_block=1 << 17, step=1 << 14)
+        sources = make_sources(5, transforms.arity(algo, 12))
+        tracemalloc.start()
+        try:
+            values = stream(algo, sources, 1 << 20, mode=mode).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * values.nbytes, peak / values.nbytes
 
     def test_short_runs_start_no_thread(self, monkeypatch):
         def refuse(self):
