@@ -13,6 +13,11 @@ sequence:
   integer equal to its length, and "mode", when present and not null, a
   known mode.
 
+Text (csv and json samples, and `qkdmod`'s quadrature pairs) is encoded
+on every CPU the process may use: `_write_chunks` forks one worker per
+extra CPU, each encoding a contiguous run of chunks, and appends their
+text in order, so the bytes do not depend on the CPU count.
+
 `read_samples` takes the format from the bytes alone, never the name: the
 "GRNG" magic is bin, a leading "{" is json, and anything else is csv.
 
@@ -24,10 +29,13 @@ consumption, so runs are reproducible from the artifact alone.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from . import transforms
 
 __all__ = [
     "FORMATS",
@@ -62,11 +70,79 @@ def _dtype_for(mode):
 
 def _write_chunks(out, rows, encode, sep=""):
     """Write encode(chunk) to `out` per _TEXT_CHUNK rows, `sep` between;
-    a chunk is float64 Python floats, as lists of rows for 2-d `rows`."""
+    a chunk is float64 Python floats, as lists of rows for 2-d `rows`.
+
+    The chunks are cut into one contiguous part per CPU: forked workers
+    (`_fork_part`) encode the parts after the first while this process
+    writes the first, then their text is appended in order, `_TEXT_CHUNK`
+    characters (at most one chunk's text) at a time.  A failed worker
+    raises OSError here; no worker outlives the call.
+    """
     rows = np.asarray(rows)
-    for i in range(0, len(rows), _TEXT_CHUNK):
+    chunks = -(-len(rows) // _TEXT_CHUNK)
+    cores = transforms._cores() if hasattr(os, "fork") else 1
+    parts = max(1, min(cores, chunks))  # no rows: one empty part
+    cuts = [chunks * p // parts * _TEXT_CHUNK for p in range(parts)] + [len(rows)]
+    workers = []  # (pid, text file) of each part after the first, unreaped
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            workers.append(_fork_part(rows, start, stop, encode, sep))
+        _encode_part(out, rows, 0, cuts[1], encode, sep)
+        while workers:
+            pid, text = workers[0]
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            with text:
+                if status:
+                    raise OSError(f"text worker {pid} ended with exit status "
+                                  f"{os.waitstatus_to_exitcode(status)}")
+                text.seek(0)
+                while block := text.read(_TEXT_CHUNK):
+                    out.write(block)
+    finally:
+        if workers:  # failed: kill and reap every worker not yet reaped
+            import signal
+
+            for pid, text in workers:
+                text.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _encode_part(out, rows, start, stop, encode, sep):
+    """Write the chunks of rows[start:stop] to `out`, each but row 0's
+    after `sep`."""
+    for i in range(start, stop, _TEXT_CHUNK):
         chunk = rows[i:i + _TEXT_CHUNK].astype(np.float64, copy=False)
         out.write((sep if i else "") + encode(chunk.tolist()))
+
+
+def _fork_part(rows, start, stop, encode, sep):
+    """Fork a worker that encodes rows[start:stop] into an unnamed
+    temporary file and exits; returns (its pid, the file).
+
+    The worker only runs `encode` and writes its own file, so it needs no
+    lock another thread of the caller may hold at the fork.  It leaves by
+    `os._exit`: it never returns into the caller's stack and never flushes
+    the caller's inherited buffers.
+    """
+    import tempfile  # only where a worker is forked
+
+    text = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    try:
+        pid = os.fork()
+    except BaseException:
+        text.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            _encode_part(text, rows, start, stop, encode, sep)
+            text.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, text
 
 
 def write_samples(path, values, mode, fmt):
