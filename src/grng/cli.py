@@ -13,8 +13,9 @@ Everything is reproducible from the command line: a 64-bit master seed
 (--seed, whose default is the GRNG_SEED environment variable, then 1)
 expands into per-stream LFSR seeds through splitmix64, and (subcommand,
 full config) determines every output byte except bench timing fields.
-Generation can shard into `--shards` worker streams with distinct derived
-seeds; output is shard-major and deterministic given (seed, shard count).
+A run draws one stream from `transforms.arity` LFSR sources, which
+`transforms.evaluate` cuts into blocks, one per CPU.  `--shards` is
+recorded in the sidecar and does not change the output.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Every error is one
 `error:` line on stderr.  Each bounded flag's domain is its argparse
@@ -34,9 +35,6 @@ import os
 import sys
 import time
 import warnings
-from collections import Counter
-
-import numpy as np
 
 from . import fp_pipeline, qkdmod, sampleio, stats, transforms, urng
 
@@ -44,16 +42,12 @@ __all__ = ["main"]
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
-#: Largest --k.  Each shard derives k seeds in a Python splitmix64 loop, so
-#: a k of 10^9 would run for hours before the first sample.
+#: Largest --k.  A run derives k seeds one at a time in a Python splitmix64
+#: loop, so a k of 10^9 would run for hours before the first sample.
 _MAX_K = 1 << 16
-#: Largest --shards.  Each shard is a Python-level loop step that builds its
-#: own sources, so 10^5 one-sample shards spend seconds on set-up alone.
+#: Largest --shards.  The value only goes to the sidecar; the bound keeps
+#: the flag's domain, so a command line it refused before is still refused.
 _MAX_SHARDS = 1 << 16
-#: Most LFSR streams one run sets up: a pair algorithm's at the --shards
-#: bound.  --k times --shards is not bounded by either flag, and 2^32 seeds
-#: from the splitmix64 loop would take hours.
-_MAX_STREAMS = 2 * _MAX_SHARDS
 
 
 class _UsageError(Exception):
@@ -120,7 +114,8 @@ def _add_gen_args(p):
                    default=12, help="CLT summand count")
     p.add_argument("--shards", type=_domain(int, lambda s: 1 <= s <= _MAX_SHARDS,
                                             f"an integer in [1, {_MAX_SHARDS}]"),
-                   default=1)
+                   default=1, help="recorded in the sidecar; does not change "
+                   "the output")
     p.add_argument("--poly", default=None,
                    help="LFSR polynomial, as x^a+x^b+...+1 or a hex tap mask")
 
@@ -172,18 +167,13 @@ def _build_parser():
     return parser
 
 
-def _shard_sizes(n, shards):
-    base, extra = divmod(n, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
-
-
-def _warn_past_period(sources, first):
+def _warn_past_period(sources):
     """One stderr line per stream that drew more words than its period.
 
     Word k starts at clock k * n, so the words repeat after p / gcd(p, n)
     of them, p being the register's period; past that the output repeats.
     """
-    for i, src in enumerate(sources, start=first):
+    for i, src in enumerate(sources):
         n = src.config.order
         period = urng.lfsr_period(src.config)
         words = period // math.gcd(period, n)
@@ -195,33 +185,22 @@ def _warn_past_period(sources, first):
 
 
 def _generate(args, algo, count):
-    """Shard-major generation of `count` `algo` samples: (values, metadata)."""
+    """One stream of `count` `algo` samples: (values, metadata)."""
     # every mode holds at least 8 bytes per sample
     _check_memory(f"{count} samples", 8 * count)
     # a bad polynomial is refused here, before any seed is derived for it
     poly = urng.DEFAULT_POLYNOMIAL if args.poly is None else args.poly
     lfsr = urng.LfsrConfig.from_polynomial(poly, seed=1)
     clt = transforms.CltConfig(k=args.k)
-    per_shard = transforms.arity(algo, clt.k)  # LFSR streams per shard
-    # shards beyond the n-th would be empty: seeds go only to those that run
-    shards = min(args.shards, count)
-    if shards * per_shard > _MAX_STREAMS:
-        raise _UsageError(f"--k {clt.k} with --shards {shards} sets up "
-                          f"{shards * per_shard} LFSR streams, more than "
-                          f"{_MAX_STREAMS}")
     try:
-        lfsr_seeds = urng.derive_seeds(args.seed, shards * per_shard, lfsr.order)
+        lfsr_seeds = urng.derive_seeds(args.seed, transforms.arity(algo, clt.k),
+                                       lfsr.order)
     except ValueError as exc:
         raise _UsageError(exc) from None
-
-    results = []
-    for shard, size in enumerate(_shard_sizes(count, shards)):
-        lo = shard * per_shard
-        sources = [urng.new_lfsr(dataclasses.replace(lfsr, seed=s))
-                   for s in lfsr_seeds[lo:lo + per_shard]]
-        results.append(transforms.stream(algo, sources, size,
-                                         mode=args.mode, clt=clt))
-        _warn_past_period(sources, lo)
+    sources = [urng.new_lfsr(dataclasses.replace(lfsr, seed=s))
+               for s in lfsr_seeds]
+    result = transforms.stream(algo, sources, count, mode=args.mode, clt=clt)
+    _warn_past_period(sources)
 
     meta = {
         "algorithm": algo,
@@ -231,19 +210,16 @@ def _generate(args, algo, count):
         "shards": args.shards,
         **{key: v for key, v in lfsr.to_dict().items() if key != "seed"},
         "lfsr_seeds": lfsr_seeds,
-        "uniforms_consumed": sum(r.uniforms_consumed for r in results),
+        "uniforms_consumed": result.uniforms_consumed,
     }
     if algo == "clt":
         meta["k"] = args.k
     if algo == "polar":
-        meta["pairs_proposed"] = sum(r.pairs_proposed for r in results)
-        meta["pairs_accepted"] = sum(r.pairs_accepted for r in results)
-    core_counts = sum((Counter(r.core_counts) for r in results), Counter())
-    if core_counts:
-        meta["core_counts"] = dict(sorted(core_counts.items()))
-    if len(results) == 1:  # one shard's values as they are, not a copy
-        return results[0].values, meta
-    return np.concatenate([r.values for r in results]), meta
+        meta["pairs_proposed"] = result.pairs_proposed
+        meta["pairs_accepted"] = result.pairs_accepted
+    if result.core_counts:
+        meta["core_counts"] = dict(sorted(result.core_counts.items()))
+    return result.values, meta
 
 
 def _cmd_gen(args):

@@ -55,6 +55,9 @@ _MODE_CODES = {"reference": 0, "pipeline": 1}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 _DTYPES = {"reference": "<f8", "pipeline": "<f4"}
 _TEXT_CHUNK = 1 << 16  # rows formatted per write: bounds the Python floats alive
+#: Exit status of a text worker that ran out of memory (ENOMEM's number), so
+#: the caller raises MemoryError as a serial encoding would.
+_NO_MEMORY = 12
 
 
 class ParseError(ValueError):
@@ -75,8 +78,9 @@ def _write_chunks(out, rows, encode, sep=""):
     The chunks are cut into one contiguous part per CPU: forked workers
     (`_fork_part`) encode the parts after the first while this process
     writes the first, then their text is appended in order, `_TEXT_CHUNK`
-    characters (at most one chunk's text) at a time.  A failed worker
-    raises OSError here; no worker outlives the call.
+    characters (at most one chunk's text) at a time.  A worker that ran
+    out of memory raises MemoryError here, any other failed worker
+    OSError; no worker outlives the call.
     """
     rows = np.asarray(rows)
     chunks = -(-len(rows) // _TEXT_CHUNK)
@@ -90,12 +94,14 @@ def _write_chunks(out, rows, encode, sep=""):
         _encode_part(out, rows, 0, cuts[1], encode, sep)
         while workers:
             pid, text = workers[0]
-            status = os.waitpid(pid, 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del workers[0]
             with text:
-                if status:
+                if code == _NO_MEMORY:
+                    raise MemoryError(f"in text worker {pid}")
+                if code:
                     raise OSError(f"text worker {pid} ended with exit status "
-                                  f"{os.waitstatus_to_exitcode(status)}")
+                                  f"{code}")
                 text.seek(0)
                 while block := text.read(_TEXT_CHUNK):
                     out.write(block)
@@ -140,6 +146,8 @@ def _fork_part(rows, start, stop, encode, sep):
             _encode_part(text, rows, start, stop, encode, sep)
             text.flush()
             status = 0
+        except MemoryError:
+            status = _NO_MEMORY
         finally:
             os._exit(status)
     return pid, text

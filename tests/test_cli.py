@@ -244,17 +244,18 @@ class TestGen:
                    "--shards", "2", "--poly", "x^16+x^15+x^13+x^4+1",
                    "--seed", "8", "--out", str(out)) == 0
         meta = read_sidecar(out)
-        assert len(meta["lfsr_seeds"]) == (6 if algo == "clt" else 4)
+        assert len(meta["lfsr_seeds"]) == transforms.arity(algo, 3)
         assert [urng.LfsrConfig.from_dict({**meta, "seed": s})
                 for s in meta["lfsr_seeds"]] == ran
 
     @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
     def test_sidecar_holds_arity_seeds_per_shard(self, tmp_path, algo):
+        # one stream of arity sources, whatever --shards says
         out = tmp_path / "x.bin"
         assert run("gen", "--algo", algo, "--k", "5", "--n", "30",
                    "--shards", "3", "--seed", "4", "--out", str(out)) == 0
         assert read_sidecar(out)["lfsr_seeds"] == urng.derive_seeds(
-            4, 3 * transforms.arity(algo, 5), 32)
+            4, transforms.arity(algo, 5), 32)
 
     def test_gen_matches_library_stream(self, tmp_path):
         out = tmp_path / "lib.bin"
@@ -278,40 +279,29 @@ class TestGen:
         _, mode = read_samples(out)
         assert mode == "pipeline"
 
-    def test_shard_plan_is_deterministic_and_shard_major(self, tmp_path):
-        a = tmp_path / "a.bin"
-        b = tmp_path / "b.bin"
-        run("gen", "--algo", "box-muller", "--n", "1001", "--seed", "5",
-            "--shards", "4", "--out", str(a))
-        run("gen", "--algo", "box-muller", "--n", "1001", "--seed", "5",
-            "--shards", "4", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-        values, _ = read_samples(a)
-        # first shard of 251 samples comes from stream indices 0 and 1
-        seeds = urng.derive_seeds(5, 8, 32)
-        srcs = [urng.new_lfsr(urng.LfsrConfig(order=32,
-                                              taps=urng.DEFAULT_POLYNOMIAL,
-                                              seed=s)) for s in seeds[:2]]
-        want = transforms.stream("box-muller", srcs, 251)
-        assert np.array_equal(values[:251], want.values)
-
-    @given(n=st_.integers(0, 10 ** 12), shards=st_.integers(1, 4096))
-    def test_shard_sizes_split_evenly(self, n, shards):
-        sizes = cli._shard_sizes(n, shards)
-        assert len(sizes) == shards and sum(sizes) == n
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_empty_shards_get_no_seeds(self, tmp_path):
-        # shards beyond the n-th hold no sample and get no LFSR seeds
-        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        assert run("gen", "--n", "3", "--seed", "5", "--shards", "5",
-                   "--out", str(a)) == 0
-        assert run("gen", "--n", "3", "--seed", "5", "--shards", "3",
-                   "--out", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
-        meta = read_sidecar(a)
-        assert meta["shards"] == 5
-        assert meta["lfsr_seeds"] == urng.derive_seeds(5, 6, 32)
+    @pytest.mark.parametrize("shards", [2, 7, 1 << 16])
+    @pytest.mark.parametrize("mode", ["reference", "pipeline"])
+    @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
+    def test_shards_do_not_change_the_output(self, tmp_path, algo, mode,
+                                             shards):
+        """--shards s writes the --shards 1 bytes in every format and for
+        quadrature; only the sidecar's "shards" differs.  --n 1001 is below
+        2^16, so that case asks for more shards than samples."""
+        runs = [("gen", fmt) for fmt in sampleio.FORMATS]
+        runs += [("quadrature", fmt) for fmt in ("csv", "json")]
+        for command, fmt in runs:
+            outs = []
+            for s in (1, shards):
+                out = tmp_path / f"{command}-{fmt}-{s}"
+                assert run(command, "--algo", algo, "--mode", mode, "--k", "5",
+                           "--n", "1001", "--seed", "5", "--shards", str(s),
+                           "--format", fmt, "--out", str(out)) == 0
+                outs.append((out.read_bytes(), read_sidecar(out)))
+            (one, meta_one), (many, meta) = outs
+            assert many == one, (command, fmt)
+            assert meta == {**meta_one, "shards": shards}
+            assert meta["lfsr_seeds"] == urng.derive_seeds(
+                5, transforms.arity(algo, 5), 32)
 
     @pytest.mark.parametrize("fmt", ["bin", "csv", "json"])
     def test_gen_round_trips_all_formats(self, tmp_path, fmt):
@@ -419,7 +409,7 @@ class TestGen:
     @pytest.mark.parametrize("mode", ["reference", "pipeline"])
     def test_blocks_keep_bytes_and_sidecars(self, tmp_path, monkeypatch, algo,
                                             mode):
-        """gen at 10^6, and at an odd n over 3 shards, writes the bytes and
+        """gen at 10^6, and at an odd n with --shards 3, writes the bytes and
         sidecar of one block per round at 1-4 threads, drawn in steps."""
         def gen(threads, *argv):
             cut_rounds(monkeypatch, threads, 1 << 12, step=(1 << 15) + 1)
@@ -510,7 +500,6 @@ class TestGen:
             ("--n", str(1 << 60)),
             # more streams than an order-2 register has nonzero seeds (3)
             ("--algo", "clt", "--poly", "x^2+x+1", "--n", "1"),
-            ("--poly", "x^2+x+1", "--shards", "2", "--n", "4"),
         ]:
             assert run("gen", *argv, "--out", str(out)) == 1, argv
             assert_one_line_error(capsys.readouterr().err)
@@ -539,7 +528,7 @@ class TestGen:
     @pytest.mark.parametrize("command", ["gen", "bench", "quadrature"])
     def test_shards_bound_is_refused_before_any_seed(self, tmp_path, capsys,
                                                      monkeypatch, command):
-        # every shard is a Python-level step: refuse before any set-up work
+        # a --shards outside its domain is refused before any set-up work
         def derive_seeds(*args):
             raise AssertionError("seeds derived for a refused --shards")
 
@@ -553,42 +542,6 @@ class TestGen:
         assert_one_line_error(err)
         assert "--shards" in err
         assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["gen", "bench", "quadrature"])
-    def test_stream_bound_is_refused_before_any_seed(self, tmp_path, capsys,
-                                                     monkeypatch, command):
-        # --k and --shards each within bounds, but their product is 3 * 2^16
-        # streams: derive_seeds alone would loop for seconds, at 2^32 hours
-        def derive_seeds(*args):
-            raise AssertionError("seeds derived for a refused --k * --shards")
-
-        monkeypatch.setattr(urng, "derive_seeds", derive_seeds)
-        out = tmp_path / "x.out"
-        argv = [command, "--algo", "clt", "--k", str(cli._MAX_K),
-                "--shards", "3", "--n", "3"]
-        if command != "bench":
-            argv += ["--out", str(out)]
-        assert run(*argv) == 1
-        err = capsys.readouterr().err
-        assert_one_line_error(err)
-        assert "--k" in err and "--shards" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [
-        ("--algo", "clt", "--k", str(cli._MAX_K), "--shards", "2", "--n", "2"),
-        ("--shards", str(cli._MAX_SHARDS), "--n", str(cli._MAX_SHARDS)),
-    ])
-    def test_stream_bound_admits_its_limit(self, tmp_path, monkeypatch, argv):
-        # the largest clt and pair requests reach derive_seeds with exactly
-        # the bound; derive_seeds' own refusal ends the run there
-        counts = []
-        def derive_seeds(seed, count, order):
-            counts.append(count)
-            raise ValueError("stop after the count")
-
-        monkeypatch.setattr(urng, "derive_seeds", derive_seeds)
-        assert run("gen", *argv, "--out", str(tmp_path / "x.bin")) == 1
-        assert counts == [cli._MAX_STREAMS]
 
     def test_shards_bound_accepted(self, tmp_path):
         out = tmp_path / "x.bin"
@@ -611,8 +564,8 @@ class TestGen:
         assert_one_line_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, code", [
-        # 8 shards need 16 seeds; an order-4 register has only 15
-        (("--poly", "x^4+x^3+1", "--shards", "8"), 1),
+        # 16 clt summands need 16 seeds; an order-4 register has only 15
+        (("--algo", "clt", "--k", "16", "--poly", "x^4+x^3+1"), 1),
         (("--poly", "1"), 2),
         (("--poly", "x"), 2),
         (("--poly=-7",), 2),

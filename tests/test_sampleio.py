@@ -175,3 +175,28 @@ def test_cli_reports_a_failed_worker(monkeypatch, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: text worker")
     assert err[0].endswith("exit status 3")
     _no_child_left()
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_cli_reports_a_worker_out_of_memory(monkeypatch, tmp_path, capsys,
+                                            parts):
+    """A MemoryError in the last part is `error: out of memory` and exit 1,
+    whether a worker or the caller itself encodes that part."""
+    cut_rounds(monkeypatch, parts)
+    monkeypatch.setattr(sampleio, "_TEXT_CHUNK", 1000)
+    encode_part = sampleio._encode_part
+
+    def last_part_fails(out, rows, start, stop, *rest):
+        if stop == len(rows):
+            raise MemoryError("Unable to allocate 4.00 EiB")
+        encode_part(out, rows, start, stop, *rest)
+
+    monkeypatch.setattr(sampleio, "_encode_part", last_part_fails)
+    forks = _forks(monkeypatch)
+    out = tmp_path / "x.csv"
+    code = cli.main(["gen", "--n", "3000", "--format", "csv", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
+    assert len(forks) == parts - 1
+    _no_child_left()
