@@ -14,15 +14,20 @@ Everything is reproducible from the command line: a 64-bit master seed
 expands into per-stream LFSR seeds through splitmix64, and (subcommand,
 full config) determines every output byte except bench timing fields.
 A run draws one stream from `transforms.arity` LFSR sources, which
-`transforms.evaluate` cuts into blocks, one per CPU.  `--shards` is
-recorded in the sidecar and does not change the output.
+`transforms.evaluate` yields in rounds, each cut into blocks, one per
+CPU, and which are written as they come.  `--shards` is recorded in the
+sidecar and does not change the output.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Every error is one
 `error:` line on stderr.  Each bounded flag's domain is its argparse
 `type`, so a value outside it is argparse's usage error, naming the flag,
-before any work; GRNG_SEED meets --seed's rule.  A request whose samples
-or histogram bins alone exceed the machine's physical memory is a usage
-error before any work too.
+before any work; GRNG_SEED meets --seed's rule.  A `hist --bins` whose
+bins alone exceed the machine's physical memory is a usage error before
+any work too.  Samples are drawn and written in rounds of bounded size,
+so `gen`, `bench` and `quadrature` need no such check; `gen` and
+`quadrature` refuse an output that cannot fit in the free space of its
+file system instead.  A `gen` or `quadrature` that fails part way can
+leave a partial file.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ import os
 import sys
 import time
 import warnings
+
+import numpy as np
 
 from . import fp_pipeline, qkdmod, sampleio, stats, transforms, urng
 
@@ -66,9 +73,33 @@ def _check_memory(what, nbytes):
     out-of-memory killer, so it is refused before any work.
     """
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    _refuse_beyond(what, nbytes, total, "of memory")
+
+
+def _check_space(path, count):
+    """Refuse an output file of `count` values that its file system's free
+    space cannot hold.
+
+    Every value takes at least 4 bytes in every format (a float32, or a
+    repr of at least 3 characters and its separator), so such a run could
+    only end in a disk-full error part way; it is refused before any work.
+    An output that is no regular file, such as /dev/null, is not checked.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    try:
+        fs = os.statvfs(folder)
+    except (AttributeError, OSError):  # no statvfs here, or no such folder,
+        return                         # which opening the file reports
+    _refuse_beyond(f"{count} values", 4 * count, fs.f_bavail * fs.f_frsize,
+                   f"free in {folder}")
+
+
+def _refuse_beyond(what, nbytes, total, where):
     if nbytes > total:
         raise _UsageError(f"{what} need {nbytes / 2**30:.3g} GiB, more than "
-                          f"the {total / 2**30:.3g} GiB of memory")
+                          f"the {total / 2**30:.3g} GiB {where}")
 
 
 class _EnvSeed(str):
@@ -184,51 +215,65 @@ def _warn_past_period(sources):
                   f"its output repeats", file=sys.stderr)
 
 
-def _generate(args, algo, count):
-    """One stream of `count` `algo` samples: (values, metadata)."""
-    # every mode holds at least 8 bytes per sample
-    _check_memory(f"{count} samples", 8 * count)
-    # a bad polynomial is refused here, before any seed is derived for it
-    poly = urng.DEFAULT_POLYNOMIAL if args.poly is None else args.poly
-    lfsr = urng.LfsrConfig.from_polynomial(poly, seed=1)
-    clt = transforms.CltConfig(k=args.k)
-    try:
-        lfsr_seeds = urng.derive_seeds(args.seed, transforms.arity(algo, clt.k),
-                                       lfsr.order)
-    except ValueError as exc:
-        raise _UsageError(exc) from None
-    sources = [urng.new_lfsr(dataclasses.replace(lfsr, seed=s))
-               for s in lfsr_seeds]
-    result = transforms.stream(algo, sources, count, mode=args.mode, clt=clt)
-    _warn_past_period(sources)
+class _Run:
+    """One stream of `count` `algo` samples, drawn in rounds as it is read.
 
-    meta = {
-        "algorithm": algo,
-        "mode": args.mode,
-        "n": count,
-        "master_seed": args.seed,
-        "shards": args.shards,
-        **{key: v for key, v in lfsr.to_dict().items() if key != "seed"},
-        "lfsr_seeds": lfsr_seeds,
-        "uniforms_consumed": result.uniforms_consumed,
-    }
-    if algo == "clt":
-        meta["k"] = args.k
-    if algo == "polar":
-        meta["pairs_proposed"] = result.pairs_proposed
-        meta["pairs_accepted"] = result.pairs_accepted
-    if result.core_counts:
-        meta["core_counts"] = dict(sorted(result.core_counts.items()))
-    return result.values, meta
+    Iterating yields each round's values, valid until the next round is
+    drawn, and len() is `count`.  Once the last round is drawn the period
+    warnings are printed and `meta`, the sidecar record, holds the
+    accounting summed over the rounds.
+    """
+
+    def __init__(self, args, algo, count):
+        # a bad polynomial is refused here, before any seed is derived for it
+        poly = urng.DEFAULT_POLYNOMIAL if args.poly is None else args.poly
+        lfsr = urng.LfsrConfig.from_polynomial(poly, seed=1)
+        clt = transforms.CltConfig(k=args.k)
+        try:
+            lfsr_seeds = urng.derive_seeds(args.seed, transforms.arity(algo, clt.k),
+                                           lfsr.order)
+        except ValueError as exc:
+            raise _UsageError(exc) from None
+        self._sources = [urng.new_lfsr(dataclasses.replace(lfsr, seed=s))
+                         for s in lfsr_seeds]
+        ev = fp_pipeline.Binary32 if args.mode == "pipeline" else transforms.Float64
+        self._rounds = transforms.evaluate(ev, algo, self._sources, count, clt)
+        self._count = count
+        self.meta = {
+            "algorithm": algo,
+            "mode": args.mode,
+            "n": count,
+            "master_seed": args.seed,
+            "shards": args.shards,
+            **{key: v for key, v in lfsr.to_dict().items() if key != "seed"},
+            "lfsr_seeds": lfsr_seeds,
+        }
+        if algo == "clt":
+            self.meta["k"] = args.k
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        for result in self._rounds:
+            yield result.values
+        _warn_past_period(self._sources)
+        self.meta["uniforms_consumed"] = result.uniforms_consumed
+        if self.meta["algorithm"] == "polar":
+            self.meta["pairs_proposed"] = result.pairs_proposed
+            self.meta["pairs_accepted"] = result.pairs_accepted
+        if result.core_counts:
+            self.meta["core_counts"] = dict(sorted(result.core_counts.items()))
 
 
 def _cmd_gen(args):
-    values, meta = _generate(args, args.algo, args.n)
-    path = sampleio.write_samples(args.out, values, args.mode, args.format)
-    meta["format"] = args.format
-    sampleio.write_sidecar(path, meta)
-    print(f"wrote {values.size} samples to {path} "
-          f"({meta['uniforms_consumed']} uniforms consumed)")
+    _check_space(args.out, args.n)
+    run = _Run(args, args.algo, args.n)
+    path = sampleio.write_samples(args.out, run, args.mode, args.format)
+    run.meta["format"] = args.format
+    sampleio.write_sidecar(path, run.meta)
+    print(f"wrote {args.n} samples to {path} "
+          f"({run.meta['uniforms_consumed']} uniforms consumed)")
     return 0
 
 
@@ -246,8 +291,9 @@ def _render_report_table(reports):
 
 def _cmd_test(args):
     values, _mode = sampleio.read_samples(args.input)
+    # `values` is this command's own array, so the battery may sort it in place
     reports = stats.run_suite(values, suite=args.suite, alpha=args.alpha,
-                              bins=args.bins)
+                              bins=args.bins, overwrite_input=True)
     print(_render_report_table(reports))
     if args.out:
         doc = {"input": str(args.input), "n": int(values.size),
@@ -278,11 +324,13 @@ def _cmd_bench(args):
           f"{'uniforms/sample':>16}  core counts")
     for algo in algos:
         start = time.perf_counter()
-        values, meta = _generate(args, algo, args.n)
+        run = _Run(args, algo, args.n)
+        for _values in run:
+            pass
         elapsed = time.perf_counter() - start
-        rate = values.size / elapsed if elapsed > 0 else float("inf")
-        ratio = meta["uniforms_consumed"] / values.size
-        counts = meta.get("core_counts")
+        rate = args.n / elapsed if elapsed > 0 else float("inf")
+        ratio = run.meta["uniforms_consumed"] / args.n
+        counts = run.meta.get("core_counts")
         if counts is None:
             per_pass = fp_pipeline.expected_core_counts(
                 algo, k=args.k, accepted=True)
@@ -294,16 +342,28 @@ def _cmd_bench(args):
     return 0
 
 
+def _quadrature_rounds(rounds, variance):
+    """The (q, p) pairs of each round's values; the odd value a round may
+    end with opens the next round's first pair."""
+    left = np.empty(0)
+    for values in rounds:
+        if left.size:
+            values = np.concatenate((left, values))
+        even = values.size - values.size % 2
+        config = qkdmod.ModulationConfig(variance=variance, count=even // 2)
+        yield qkdmod.quadrature_stream(values[:even], config)
+        left = values[even:].astype(np.float64)  # a copy: the round buffer is reused
+
+
 def _cmd_quadrature(args):
-    values, meta = _generate(args, args.algo, 2 * args.n)
-    config = qkdmod.ModulationConfig(variance=args.variance, count=args.n)
-    pairs = qkdmod.quadrature_stream(values, config)
+    _check_space(args.out, 2 * args.n)
+    run = _Run(args, args.algo, 2 * args.n)
     write = qkdmod.pairs_to_json if args.format == "json" else qkdmod.pairs_to_csv
     with open(args.out, "w") as fh:
-        write(pairs, fh)
-    meta.update({"variance": args.variance, "pairs": args.n,
-                 "format": args.format})
-    sampleio.write_sidecar(args.out, meta)
+        write(_quadrature_rounds(run, args.variance), fh)
+    run.meta.update({"variance": args.variance, "pairs": args.n,
+                     "format": args.format})
+    sampleio.write_sidecar(args.out, run.meta)
     print(f"wrote {args.n} quadrature pairs to {args.out}")
     return 0
 

@@ -365,4 +365,5 @@ def expected_core_counts(algo, *, k=12, accepted=True):
 
 def pipeline_stream(algo, sources, count, *, clt):
     """Batch pipeline-mode generation; see transforms.stream for the contract."""
-    return transforms.evaluate(Binary32, algo, sources, count, clt)
+    return transforms._join(transforms.evaluate(Binary32, algo, sources, count, clt),
+                            count)

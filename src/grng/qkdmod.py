@@ -67,13 +67,18 @@ def quadrature_stream(source, config):
 
 
 def pairs_to_csv(pairs, out):
-    """Write "q,p" then one q,p line per pair to the open text file `out`."""
+    """Write "q,p" then one q,p line per pair to the open text file `out`.
+
+    `pairs` is one (count, 2) array, or an iterable of them (the rounds of
+    a run), written as they come.
+    """
     out.write("q,p\n")
     _write_chunks(out, pairs, lambda c: "".join(f"{q!r},{p!r}\n" for q, p in c))
 
 
 def pairs_to_json(pairs, out):
-    """Write the text of one json.dumps of [{"q": q, "p": p}, ...] to `out`."""
+    """Write the text of one json.dumps of [{"q": q, "p": p}, ...] to `out`;
+    `pairs` as for `pairs_to_csv`."""
     out.write("[")
     _write_chunks(out, pairs,
                   lambda c: json.dumps([{"q": q, "p": p} for q, p in c])[1:-1],

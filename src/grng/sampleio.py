@@ -13,13 +13,19 @@ sequence:
   integer equal to its length, and "mode", when present and not null, a
   known mode.
 
-Text (csv and json samples, and `qkdmod`'s quadrature pairs) is encoded
-on every CPU the process may use: `_write_chunks` forks one worker per
-extra CPU, each encoding a contiguous run of chunks, and appends their
-text in order, so the bytes do not depend on the CPU count.
+`write_samples` and `qkdmod`'s pair writers take one array, or an
+iterable of arrays such as the rounds of a `gen` run, each written as it
+comes: the file is that of their concatenation, and no writer holds more
+than one of them.  Text (csv and json samples, and the quadrature pairs)
+is encoded on every CPU the process may use: `_write_chunks` forks one
+worker per extra CPU, each encoding a contiguous run of an array's
+chunks, and appends their text in order, so the bytes do not depend on
+the CPU count.
 
 `read_samples` takes the format from the bytes alone, never the name: the
-"GRNG" magic is bin, a leading "{" is json, and anything else is csv.
+"GRNG" magic is bin, a leading "{" is json, and anything else is csv.  It
+returns a float64 array of the caller's own; a bin payload is read
+straight into it.
 
 Every generated sample file gets a sidecar metadata record at
 "<path>.meta.json" describing the full generation config and the uniform
@@ -58,6 +64,8 @@ _TEXT_CHUNK = 1 << 16  # rows formatted per write: bounds the Python floats aliv
 #: Exit status of a text worker that ran out of memory (ENOMEM's number), so
 #: the caller raises MemoryError as a serial encoding would.
 _NO_MEMORY = 12
+#: What the writers take as one array; any other iterable is a run's rounds.
+_ARRAY_LIKE = (np.ndarray, list, tuple)
 
 
 class ParseError(ValueError):
@@ -71,9 +79,29 @@ def _dtype_for(mode):
         raise ParseError(f"unknown mode {mode!r}") from None
 
 
+def _arrays(values):
+    """The arrays of `values`: one array-like (an array, list or tuple), or
+    any other iterable of arrays, such as a run's rounds, read in turn."""
+    return (np.asarray(values),) if isinstance(values, _ARRAY_LIKE) else values
+
+
 def _write_chunks(out, rows, encode, sep=""):
     """Write encode(chunk) to `out` per _TEXT_CHUNK rows, `sep` between;
-    a chunk is float64 Python floats, as lists of rows for 2-d `rows`.
+    a chunk is float64 Python floats, as lists of rows for 2-d rows.
+
+    `rows` is one array-like or an iterable of arrays (`_arrays`), each
+    written as it comes, so the text is that of their concatenation.
+    """
+    lead = ""
+    for part in _arrays(rows):
+        if len(part):
+            out.write(lead)
+            _write_round(out, part, encode, sep)
+            lead = sep
+
+
+def _write_round(out, rows, encode, sep):
+    """`_write_chunks` of one array.
 
     The chunks are cut into one contiguous part per CPU: forked workers
     (`_fork_part`) encode the parts after the first while this process
@@ -82,7 +110,6 @@ def _write_chunks(out, rows, encode, sep=""):
     out of memory raises MemoryError here, any other failed worker
     OSError; no worker outlives the call.
     """
-    rows = np.asarray(rows)
     chunks = -(-len(rows) // _TEXT_CHUNK)
     cores = transforms._cores() if hasattr(os, "fork") else 1
     parts = max(1, min(cores, chunks))  # no rows: one empty part
@@ -154,23 +181,28 @@ def _fork_part(rows, start, stop, encode, sep):
 
 
 def write_samples(path, values, mode, fmt):
-    """Write a value sequence in the requested format; returns the Path."""
+    """Write a value sequence in the requested format; returns the Path.
+
+    `values` is one array-like, or an iterable of arrays with a len(), their
+    total size, such as the rounds of a `gen` run: each is written as it
+    comes, and the file holds their concatenation.
+    """
     path = Path(path)
-    values = np.asarray(values)
+    count = np.size(values) if isinstance(values, _ARRAY_LIKE) else len(values)
     dtype = _dtype_for(mode)  # every format names a known mode
     if fmt == "bin":
-        # the samples' own buffer when they already have the file's dtype
-        payload = np.ascontiguousarray(values, dtype=dtype)
-        header = MAGIC + struct.pack("<IQ", _MODE_CODES[mode], values.size)
+        header = MAGIC + struct.pack("<IQ", _MODE_CODES[mode], count)
         with path.open("wb") as out:
             out.write(header)
-            out.write(payload.data)
+            for part in _arrays(values):
+                # the samples' own buffer when they already have the file's dtype
+                out.write(np.ascontiguousarray(part, dtype=dtype).data)
     elif fmt == "csv":
         with path.open("w") as out:
             _write_chunks(out, values, lambda c: "\n".join(map(repr, c)) + "\n")
     elif fmt == "json":
         head = json.dumps({"magic": MAGIC.decode(), "mode": mode,
-                           "count": int(values.size)})
+                           "count": int(count)})
         with path.open("w") as out:
             out.write(head[:-1] + ', "values": [')
             _write_chunks(out, values, lambda c: json.dumps(c)[1:-1], sep=", ")
@@ -183,26 +215,20 @@ def write_samples(path, values, mode, fmt):
 def read_samples(path):
     """Read a sample file of any format; returns (values, mode or None).
 
-    csv files carry no mode, so mode comes back None for them.
+    The values are a float64 array of their own, which the caller may
+    write.  A bin payload is read straight into it, with no copy of the
+    file kept.  csv files carry no mode, so mode comes back None for them.
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        with path.open("rb") as fh:
+            data = fh.read(64)
+            if data[:4] == MAGIC:
+                return _read_bin(path, fh, data)
+            fh.seek(0)
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if data[:4] == MAGIC:
-        if len(data) < 16:
-            raise ParseError(f"{path} is not a GRNG binary sample file")
-        mode_code, count = struct.unpack("<IQ", data[4:16])
-        if mode_code not in _MODE_NAMES:
-            raise ParseError(f"unknown mode code {mode_code} in {path}")
-        mode = _MODE_NAMES[mode_code]
-        dtype = _dtype_for(mode)
-        if len(data) - 16 != count * dtype.itemsize:
-            raise ParseError(f"{path}: header claims {count} values, payload "
-                             f"has {len(data) - 16} bytes")
-        values = np.frombuffer(data, dtype, offset=16)
-        return values.astype(np.float64, copy=False), mode
     if data[:64].lstrip()[:1] == b"{":
         try:
             doc = json.loads(data)  # RecursionError past its nesting limit
@@ -224,6 +250,26 @@ def read_samples(path):
     except ValueError as exc:
         raise ParseError(f"{path} is not a sample csv: {exc}") from exc
     return values, None
+
+
+def _read_bin(path, fh, head):
+    """The (values, mode) of the bin file `fh`, whose first bytes are `head`."""
+    if len(head) < 16:
+        raise ParseError(f"{path} is not a GRNG binary sample file")
+    mode_code, count = struct.unpack("<IQ", head[4:16])
+    if mode_code not in _MODE_NAMES:
+        raise ParseError(f"unknown mode code {mode_code} in {path}")
+    mode = _MODE_NAMES[mode_code]
+    dtype = _dtype_for(mode)
+    payload = os.fstat(fh.fileno()).st_size - 16
+    if payload != count * dtype.itemsize:
+        raise ParseError(f"{path}: header claims {count} values, payload "
+                         f"has {payload} bytes")
+    fh.seek(16)
+    values = np.fromfile(fh, dtype, count)
+    if values.size != count:  # the file shrank since its size was read
+        raise ParseError(f"{path}: payload ended before {count} values")
+    return values.astype(np.float64, copy=False), mode
 
 
 def sidecar_path(path):

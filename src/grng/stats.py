@@ -15,13 +15,13 @@ drawn from N(0, 1)":
   finite-sample argument lam = (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D.
 
 `run_suite` judges one sorted copy of the sample, so sample order never
-matters and the caller's buffer is never written; the single-test
-functions are `run_suite` with one test.  chi2 counts its bins by
-searching the cut points in the sorted sample.  One erfc pass over the
-sorted copy, which it takes over, then yields the smaller tail
-Phi(-|y|) and its logarithm for both AD and KS, so each side of the
-normal distribution is computed in one place.  KS reads the tail before
-AD reuses its buffer.  The positive values of the sorted copy are a
+matters and, unless the caller passes `overwrite_input`, its buffer is
+never written; the single-test functions are `run_suite` with one test.
+chi2 counts its bins by searching the cut points in the sorted sample.
+One erfc pass over the sorted copy, which it takes over, then yields the
+smaller tail Phi(-|y|) and its logarithm for both AD and KS, so each side
+of the normal distribution is computed in one place.  KS reads the tail
+before AD reuses its buffer.  The positive values of the sorted copy are a
 suffix, found by one searchsorted, so neither test needs a mask: KS and AD
 work in the sorted copy and the tail buffer with block-sized scratch only.
 p-values are always numeric; values that underflow double precision
@@ -513,12 +513,17 @@ def moments(samples):
     return Moments(mean, variance, m3 / m2 ** 1.5, m4 / (m2 * m2) - 3.0)
 
 
-def run_suite(samples, suite=tuple(TESTS), alpha=0.05, bins=8):
+def run_suite(samples, suite=tuple(TESTS), alpha=0.05, bins=8,
+              overwrite_input=False):
     """Run the requested subset of tests, in canonical chi2/ad/ks order.
 
     One sorted copy of the sample feeds every test, and AD and KS share
     one tail pass over it.  Sample-size checks run first, in canonical
     order, so the error does not depend on the order the tests compute in.
+    With `overwrite_input`, a writable float64 array `samples` is sorted
+    in place and is that copy: afterwards it holds the sorted sample when chi2
+    alone runs, and AD and KS scratch otherwise.  A caller that owns its
+    array saves one copy of the sample; the reports are the same.
     """
     if not 0 < alpha < 1:  # NaN too
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -543,7 +548,8 @@ def run_suite(samples, suite=tuple(TESTS), alpha=0.05, bins=8):
         raise InsufficientSampleError(f"Anderson-Darling needs >= 8 samples, got {n}")
     if "ks" in wanted and n < 1:
         raise InsufficientSampleError("Kolmogorov-Smirnov needs >= 1 sample")
-    ys = np.sort(xs)
+    ys = xs if overwrite_input and xs.flags.writeable else xs.copy()
+    ys.sort()
     reports = {}
     if "chi2" in wanted:
         reports["chi2"] = _chi2(ys, alpha, bins)

@@ -20,10 +20,11 @@ tests compare against them.  The batch datapath of each algorithm is
 written once, in `ARCHITECTURES`, as a function of an evaluator that
 supplies log, sin, cos, sqrt, mul, add and div: `Float64` here (reference
 mode), and the binary32 and traced binary32 evaluators of `fp_pipeline`.
-`evaluate` is the one batch driver of both modes, and `stream` its entry;
-it cuts each round of passes into blocks that run on every core, and each
-block writes its passes in steps of bounded size into one output buffer,
-whose gaps (polar's rejections) are closed in place.
+`evaluate` is the one batch driver of both modes: it yields the values in
+rounds of bounded size, each drawn into one round buffer that it reuses,
+cuts each round into blocks that run on every core, and closes the gaps
+polar's rejections leave in place.  `stream` joins the rounds into one
+array; the CLI writes them as they come.
 `arity` owns the number of uniforms one pass reads, which sizes the sources
 here, the traced passes of `fp_pipeline` and the LFSR streams of `cli`.
 """
@@ -37,7 +38,7 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -184,9 +185,10 @@ def central_limit(us, config=CltConfig()):
 
 
 def _box_muller(ev, inputs):
-    u1, u2 = inputs
-    r = ev.sqrt(ev.mul(ev.dtype(-2.0), ev.log(u1)))
-    theta = ev.mul(ev.dtype(_TWO_PI), u2)
+    """u1 then u2 in (an iterable, each drawn when it is first used)."""
+    inputs = iter(inputs)
+    r = ev.sqrt(ev.mul(ev.dtype(-2.0), ev.log(next(inputs))))
+    theta = ev.mul(ev.dtype(_TWO_PI), next(inputs))
     s, c = ev.sin(theta), ev.cos(theta)
     return ev.mul(r, s), ev.mul(r, c)
 
@@ -204,13 +206,17 @@ def _clt(ev, inputs):
     """k uniforms in (an iterable, summed as it is drawn)."""
     inputs = iter(inputs)
     acc, k = next(inputs), 1
-    for u in inputs:
-        acc, k = ev.add(acc, u), k + 1
-        del u  # a batch summand is freed before the next one is drawn
+    try:
+        while True:
+            # a summand bound to no name: numpy may sum a batch into its buffer
+            acc = ev.add(acc, next(inputs))
+            k += 1
+    except StopIteration:
+        pass
     kf = ev.dtype(k)
-    num = ev.add(acc, -ev.mul(kf, ev.dtype(_HALF)))
+    acc = ev.add(acc, -ev.mul(kf, ev.dtype(_HALF)))  # the sum freed: S - k/2
     den = ev.sqrt(ev.mul(kf, ev.dtype(_TWELFTH)))
-    return (ev.div(num, den),)
+    return (ev.div(acc, den),)
 
 
 #: Datapath of each algorithm, as a function of (evaluator, graph inputs).
@@ -271,12 +277,10 @@ class StreamResult:
 #: thread did not pay on a 2-vCPU host: 2^16-pass blocks made clt slower.
 _MIN_BLOCK = 1 << 17
 
-#: Most passes a block draws at once, so that its uniforms and the
-#: architecture's temporaries stay bounded whatever the block's length.
-#: Smaller steps cost clt time: each step makes k `words` calls that hold
-#: the GIL, and on a 2-vCPU host 4x10^6 clt samples on two threads took
-#: 0.48 s in 2^16-pass steps against 0.32 s in 2^18-pass steps.
-_STEP = 1 << 18
+#: Most values a round draws per core, so that the round buffer and each
+#: block's uniforms and temporaries stay bounded whatever the count.
+#: These are 2^17 passes per core for box-muller and polar, 2^18 for clt.
+_ROUND = 1 << 18
 
 
 def _cores():
@@ -327,16 +331,22 @@ def _in_threads(calls):
 
 
 def evaluate(ev, algo, sources, count, clt):
-    """Run `algo`'s architecture over `sources` under evaluator `ev`.
+    """Run `algo`'s architecture over `sources` under evaluator `ev`, in rounds.
 
-    The batch driver of both modes; see `stream` for the contract.  Each
-    round of passes is cut into contiguous blocks (`_block_starts`): block
-    b draws from every source jumped ahead to its first word, the blocks
-    run on as many threads as there are blocks, and each stacks its steps
-    of at most `_STEP` passes into one buffer from the row of its first
-    pass on; the gaps polar's rejections leave are closed after the round.
-    As `words(a)` then `words(b)` is `words(a + b)`, the bytes, the
-    accounting and the sources' final state are those of one unsplit step.
+    The batch driver of both modes; see `stream` for the contract.  Yields
+    one `StreamResult` per round: `values` holds the round's values, a view
+    of one round buffer that the next round overwrites, and the counts are
+    the run's totals through that round.  A run of no values yields one
+    empty round.  A round draws at most `_cores()` * `_ROUND` values and is
+    cut into contiguous blocks (`_block_starts`): block b draws from every
+    source jumped ahead to its first word, the blocks run on as many
+    threads as there are blocks, and each writes into the round buffer from
+    the row of its first pass on; the gaps polar's rejections leave are
+    closed before the round is yielded.  Polar plans its proposal rounds
+    from the values still needed and draws each planned round to its end,
+    in as many rounds as the bound needs.  As `words(a)` then `words(b)` is
+    `words(a + b)`, the bytes, the accounting and the sources' final state
+    do not depend on how the passes are cut.
     """
     n = arity(algo, clt.k)
     if count < 0:
@@ -348,53 +358,72 @@ def evaluate(ev, algo, sources, count, clt):
     width = 1 if algo == "clt" else 2
     graph = ARCHITECTURES[algo]
 
-    def block(srcs, a, b, at):
+    def block(srcs, a, b, out):
         """Passes a to b of the round from `srcs`, which stand at its first
-        word, stacked into `rows` from row `at` on; returns the row after."""
+        word, stacked into `out` from row 0; returns the rows written."""
         if a:
             for src in srcs:
                 src.jump(a)
-        for lo in range(a, b, _STEP):
-            hi = min(lo + _STEP, b)
-            inputs = (src.uniforms(hi - lo, ev.dtype) for src in srcs)
-            if polar:
-                inputs = (ev.dtype(2.0) * u - ev.dtype(1.0) for u in inputs)
-            outs = graph(ev, inputs)
-            np.stack(outs, axis=1, out=rows[at:at + len(outs[0])])
-            at += len(outs[0])
-            del outs  # freed before the next step is drawn
-        return at
+        inputs = (src.uniforms(b - a, ev.dtype) for src in srcs)
+        if polar:
+            inputs = (ev.dtype(2.0) * u - ev.dtype(1.0) for u in inputs)
+        outs = graph(ev, inputs)
+        np.stack(outs, axis=1, out=out[:len(outs[0])])
+        return len(outs[0])
+
+    def plan(have):
+        # polar under-proposes slightly (acceptance rate is pi/4 ~ 0.785) so
+        # the final top-up rounds stay small and consumption stays near 4/pi
+        return max(256, int((need - have) / 0.80) + 1) if polar else need - have
 
     need = -(-count // width)
-    # polar under-proposes slightly (acceptance rate is pi/4 ~ 0.785) so the
-    # final top-up rounds stay small and consumption stays near 4/pi.  As
-    # have + int((need - have) / 0.80) + 1 <= int(need / 0.80) + 1, and the
-    # 256-pass floor adds at most 255 rows, no round writes past `rows`.
-    rows = np.empty((int(need / 0.80) + 256 if polar else need, width), ev.dtype)
-    have = proposed = 0
+    most = max(1, _cores() * _ROUND // width)
+    rows = np.empty((min(plan(0), most) if need else 0, width), ev.dtype)
+    values = rows.reshape(-1)
+    have = proposed = done = 0
     while have < need:
-        passes = max(256, int((need - have) / 0.80) + 1) if polar else need - have
-        starts = _block_starts(passes)
-        # every block but the last draws from copies; the last from
-        # `sources` themselves, so the round leaves them where one block would
-        srcs = [[copy.copy(src) for src in sources] for _ in starts[1:]] + [sources]
-        ends = _in_threads([
-            functools.partial(block, s, a, b, have + a)
-            for s, a, b in zip(srcs, starts, starts[1:] + [passes])])
-        for at, end in zip([have + a for a in starts], ends):
-            # move the block's rows down to `have` in ascending `_STEP`-row
-            # chunks, which never overwrite rows still to move
-            for lo in range(at, end, _STEP) if at > have else ():
-                hi = min(lo + _STEP, end)
-                rows[have + lo - at:have + hi - at] = rows[lo:hi]
-            have += end - at
-        proposed += passes
-    return StreamResult(
-        values=rows.reshape(-1)[:count], uniforms_consumed=n * proposed,
-        pairs_proposed=proposed if polar else 0,
-        pairs_accepted=have if polar else 0,
-        core_counts=ev.core_counts(algo, clt.k, have, proposed - have),
-    )
+        planned = plan(have)
+        for lo in range(0, planned, most):
+            passes = min(most, planned - lo)
+            starts = _block_starts(passes)
+            # every block but the last draws from copies; the last from
+            # `sources` themselves, so the round leaves them where one block would
+            srcs = [[copy.copy(src) for src in sources] for _ in starts[1:]] + [sources]
+            ends = _in_threads([
+                functools.partial(block, s, a, b, rows[a:])
+                for s, a, b in zip(srcs, starts, starts[1:] + [passes])])
+            at = 0
+            for a, rows_written in zip(starts, ends):
+                if a > at:  # close the gap polar's rejections left
+                    rows[at:at + rows_written] = rows[a:a + rows_written]
+                at += rows_written
+            have += at
+            proposed += passes
+            take = min(width * at, count - done)
+            done += take
+            yield StreamResult(
+                values=values[:take], uniforms_consumed=n * proposed,
+                pairs_proposed=proposed if polar else 0,
+                pairs_accepted=have if polar else 0,
+                core_counts=ev.core_counts(algo, clt.k, have, proposed - have))
+    if not proposed:
+        yield StreamResult(values=values, uniforms_consumed=0,
+                           core_counts=ev.core_counts(algo, clt.k, 0, 0))
+
+
+def _join(rounds, count):
+    """The `StreamResult` of a run of `count` values from its `evaluate` rounds.
+
+    Each round's values are copied into one output array as they come;
+    the counts are those of the last round.
+    """
+    out, at = None, 0
+    for result in rounds:
+        if out is None:
+            out = np.empty(count, result.values.dtype)
+        out[at:at + result.values.size] = result.values
+        at += result.values.size
+    return replace(result, values=out)
 
 
 def stream(algo, sources, count, *, mode="reference", clt=CltConfig()):
@@ -407,16 +436,16 @@ def stream(algo, sources, count, *, mode="reference", clt=CltConfig()):
     its sources in proposal rounds, so uniforms_consumed can slightly
     exceed the minimum needed to reach `count` outputs.
 
-    A round of at least 2 * `_MIN_BLOCK` passes is cut into equal blocks,
-    one per CPU this process may run on (`os.sched_getaffinity`), each
-    drawing from the sources jumped to its first word and run on a thread
-    of its own in a copy of the caller's context.  Blocks write `_STEP`
-    passes at a time into one buffer, so the memory beyond it stays bounded
-    per block.  Polar's buffer fits its largest rounds, about 1.25 * `count`
-    values: `values` is a view of its start, and its tail is never touched.
-    The output, the accounting and the sources' final `register` and
-    `steps_taken` do not depend on the thread count or the step; an
-    exception in a block is raised here.
+    The values are drawn in rounds of at most 2^18 values per CPU this
+    process may run on (`os.sched_getaffinity`), each into one buffer that
+    the next round reuses and copied from it into `values`; `evaluate`
+    yields the rounds themselves.  A round of at least 2 * `_MIN_BLOCK`
+    passes is cut into equal blocks, one per CPU, each drawing from the
+    sources jumped to its first word and run on a thread of its own in a
+    copy of the caller's context.  The output, the accounting and the
+    sources' final `register` and `steps_taken` do not depend on the
+    thread count or the round bound; an exception in a block is raised
+    here.
     """
     if mode == "pipeline":
         from . import fp_pipeline
@@ -424,4 +453,4 @@ def stream(algo, sources, count, *, mode="reference", clt=CltConfig()):
         return fp_pipeline.pipeline_stream(algo, sources, count, clt=clt)
     if mode != "reference":
         raise ValueError(f"unknown mode {mode!r}")
-    return evaluate(Float64, algo, sources, count, clt)
+    return _join(evaluate(Float64, algo, sources, count, clt), count)

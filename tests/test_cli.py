@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import grng
-from _fixtures import cut_rounds
+from _fixtures import cut_rounds, make_sources
 from grng import cli, sampleio, stats, transforms, urng
 from grng.cli import main
 from grng.sampleio import ParseError, read_samples, read_sidecar, write_samples
@@ -163,8 +164,18 @@ class TestSampleIo:
         path = write_samples(tmp_path / "x.bin", np.arange(5.0), "reference",
                              "bin")
         values, _ = read_samples(path)
-        assert not values.flags.owndata
+        assert values.flags.owndata and values.flags.writeable
         assert values.dtype == np.float64 and values.tolist() == [0, 1, 2, 3, 4]
+        # the payload is read straight into that array: no copy of the file
+        big = write_samples(tmp_path / "y.bin", np.arange(1 << 18, dtype=float),
+                            "reference", "bin")
+        tracemalloc.start()
+        try:
+            values, _ = read_samples(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * values.nbytes, peak / values.nbytes
 
     @settings(max_examples=60, deadline=None)
     @given(fmt=st_.sampled_from(sampleio.FORMATS),
@@ -412,7 +423,7 @@ class TestGen:
         """gen at 10^6, and at an odd n with --shards 3, writes the bytes and
         sidecar of one block per round at 1-4 threads, drawn in steps."""
         def gen(threads, *argv):
-            cut_rounds(monkeypatch, threads, 1 << 12, step=(1 << 15) + 1)
+            cut_rounds(monkeypatch, threads, 1 << 12, bound=(1 << 15) + 1)
             out = tmp_path / f"{threads}.bin"
             assert run("gen", "--algo", algo, "--mode", mode, "--seed", "19",
                        *argv, "--out", str(out)) == 0
@@ -555,11 +566,78 @@ class TestGen:
                    "--out", str(out)) == 0
         assert read_samples(out)[0].size == 2
 
+    @pytest.mark.parametrize("bound", [1000, 4097])
+    @pytest.mark.parametrize("mode", ["reference", "pipeline"])
+    @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
+    def test_rounds_change_nothing(self, tmp_path, monkeypatch, algo, mode,
+                                   bound):
+        """Rounds of `bound` values give the bytes, sidecars and accounting
+        of one round: gen in every format, quadrature csv and json (whose
+        pairs can straddle odd clt rounds) and stream."""
+        k = 5
+
+        def outputs():
+            got = []
+            jobs = [("gen", f, 10_001) for f in sampleio.FORMATS]
+            jobs += [("quadrature", f, 5_001) for f in ("csv", "json")]
+            for command, fmt, n in jobs:
+                out = tmp_path / f"{command}.{fmt}"
+                assert run(command, "--algo", algo, "--mode", mode, "--k", str(k),
+                           "--n", str(n), "--seed", "23", "--format", fmt,
+                           "--out", str(out)) == 0
+                got.append((out.read_bytes(), sampleio.sidecar_path(out).read_bytes()))
+            sources = make_sources(23, transforms.arity(algo, k))
+            res = transforms.stream(algo, sources, 10_001, mode=mode,
+                                    clt=transforms.CltConfig(k=k))
+            got.append((res.values.tobytes(), res.uniforms_consumed,
+                        res.pairs_proposed, res.pairs_accepted, res.core_counts,
+                        [(s.register, s.steps_taken) for s in sources]))
+            return got
+
+        cut_rounds(monkeypatch, 0)
+        want = outputs()
+        cut_rounds(monkeypatch, 1, bound=bound)
+        rounds = transforms.evaluate(transforms.Float64, algo,
+                                     make_sources(23, transforms.arity(algo, k)),
+                                     10_001, transforms.CltConfig(k=k))
+        sizes = [r.values.size for r in rounds]
+        assert len(sizes) > 2 and max(sizes) <= bound
+        assert outputs() == want
+
+    @pytest.mark.parametrize("mode", ["reference", "pipeline"])
+    @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
+    def test_gen_memory_is_flat_in_n(self, tmp_path, monkeypatch, algo, mode):
+        """gen --format bin holds one round, not its samples: 16 rounds
+        peak within 1.25 times 2 rounds."""
+        cut_rounds(monkeypatch, 1, bound=1 << 15)
+        argv = ("gen", "--algo", algo, "--mode", mode, "--out", str(tmp_path / "x.bin"))
+        assert run(*argv, "--n", "10") == 0  # table caches built before tracing
+        peaks = []
+        for rounds in (2, 16):
+            tracemalloc.start()
+            try:
+                assert run(*argv, "--n", str(rounds << 15)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_gen_needs_no_memory_for_its_samples(self, tmp_path, monkeypatch):
+        """With 8 MB of physical memory, 2 * 10^6 samples (16 MB) are still
+        drawn and written; hist --bins keeps its refusal."""
+        real = os.sysconf
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2048}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real(name))
+        out = tmp_path / "x.bin"
+        assert run("gen", "--n", "2000000", "--out", str(out)) == 0
+        assert read_samples(out)[0].size == 2_000_000
+        assert run("hist", str(out), "--bins", str(1 << 20)) == 1
+
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 4.00 EiB")
 
-        monkeypatch.setattr(transforms, "stream", exhausted)
+        monkeypatch.setattr(transforms, "evaluate", exhausted)
         assert run("gen", "--n", "10", "--out", str(tmp_path / "x.bin")) == 1
         assert_one_line_error(capsys.readouterr().err)
 

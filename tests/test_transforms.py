@@ -279,17 +279,17 @@ class TestBlocks:
             assert all(run == runs[0] for run in runs[1:]), (count, k)
 
     @pytest.mark.parametrize("mode", ["reference", "pipeline"])
-    @pytest.mark.parametrize("step", [1 << 10, 1 << 20])
-    def test_polar_rows_move_over_themselves(self, monkeypatch, step, mode):
-        """Polar's blocks close their gaps in chunks that overlap where they
-        land, as at 10^6 values, where a block's gap is about a fifth of it
-        and under `_STEP`: a 2^10-pass step lies between the gap and the
-        block, a 2^20-pass one moves each block at once.  Bytes, accounting
-        and each source's end state are those of one block at 1-4 threads."""
+    @pytest.mark.parametrize("bound", [1 << 10, 1 << 20])
+    def test_polar_rows_move_over_themselves(self, monkeypatch, bound, mode):
+        """Polar's blocks close their gaps by moves that overlap where they
+        land, as a block's gap is about a fifth of it: 2^10 values per
+        thread cut each planned round into many short rounds, 2^20 draws it
+        in one.  Bytes, accounting and each source's end state are those of
+        one block at 1-4 threads."""
         for count in (12_345, 40_000, 9_001):
             runs = []
             for threads in (0, 1, 2, 3, 4):
-                cut_rounds(monkeypatch, threads, step=step)
+                cut_rounds(monkeypatch, threads, bound=bound)
                 sources = make_sources(77, 2)
                 res = stream("polar", sources, count, mode=mode)
                 runs.append((res.values.tobytes(), res.values.dtype,
@@ -311,10 +311,11 @@ class TestBlocks:
 
         cut_rounds(monkeypatch, 4)
         with np.errstate(divide="ignore"):
-            transforms.evaluate(Recording, "box-muller", make_sources(1, 2),
-                                20_000, CltConfig())
-        # one log per step: four blocks of 2500 passes
-        assert seen == ["ignore"] * 4 * -(-2500 // transforms._STEP)
+            for _ in transforms.evaluate(Recording, "box-muller",
+                                         make_sources(1, 2), 20_000, CltConfig()):
+                pass
+        # one log per block: rounds of 6002 and 3998 passes, in 4 and 3 blocks
+        assert seen == ["ignore"] * 7
 
         def log_zero():
             return np.log(np.zeros(3))
@@ -343,8 +344,8 @@ class TestBlocks:
         cut_rounds(monkeypatch, 3)
         before = threading.active_count()
         with pytest.raises(MemoryError) as info:
-            transforms.evaluate(Exhausted, "box-muller", make_sources(1, 2),
-                                20_000, CltConfig())
+            next(transforms.evaluate(Exhausted, "box-muller", make_sources(1, 2),
+                                     20_000, CltConfig()))
         assert len(raised) == 2 and any(info.value is exc for exc in raised)
         assert threading.active_count() == before
 
@@ -375,7 +376,7 @@ class TestBlocks:
 
     def test_blocks_draw_in_bounded_steps(self, monkeypatch):
         """clt k=12 over two blocks peaks below three times its output: each
-        block draws `_STEP` passes at a time into the output it fills."""
+        round draws at most 2^18 passes per block into one round buffer."""
         monkeypatch.setattr(transforms, "_cores", lambda: 2)
         tracemalloc.start()
         try:
@@ -388,10 +389,10 @@ class TestBlocks:
     @pytest.mark.parametrize("mode", ["reference", "pipeline"])
     @pytest.mark.parametrize("algo", transforms.ALGORITHMS)
     def test_output_is_held_once(self, monkeypatch, algo, mode):
-        """Every algorithm stacks its steps straight into one buffer: 2^20
-        values over two blocks of 2^14-pass steps peak at no more than 1.6
-        times the output, polar's unused tail included."""
-        cut_rounds(monkeypatch, 2, min_block=1 << 17, step=1 << 14)
+        """`stream` holds its output and one round buffer: 2^20 values in
+        rounds of 2^14 values per thread peak at no more than 1.6 times the
+        output."""
+        cut_rounds(monkeypatch, 2, min_block=1 << 17, bound=1 << 14)
         sources = make_sources(5, transforms.arity(algo, 12))
         tracemalloc.start()
         try:
