@@ -41,8 +41,6 @@ import sys
 import time
 import warnings
 
-import numpy as np
-
 from . import fp_pipeline, qkdmod, sampleio, stats, transforms, urng
 
 __all__ = ["main"]
@@ -83,7 +81,9 @@ def _check_space(path, count):
     Every value takes at least 4 bytes in every format (a float32, or a
     repr of at least 3 characters and its separator), so such a run could
     only end in a disk-full error part way; it is refused before any work.
-    An output that is no regular file, such as /dev/null, is not checked.
+    An existing output is truncated before it is written, so the blocks it
+    holds count as free.  An output that is no regular file, such as
+    /dev/null, is not checked.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         return
@@ -92,8 +92,9 @@ def _check_space(path, count):
         fs = os.statvfs(folder)
     except (AttributeError, OSError):  # no statvfs here, or no such folder,
         return                         # which opening the file reports
-    _refuse_beyond(f"{count} values", 4 * count, fs.f_bavail * fs.f_frsize,
-                   f"free in {folder}")
+    held = os.stat(path).st_blocks * 512 if os.path.isfile(path) else 0
+    _refuse_beyond(f"{count} values", 4 * count,
+                   fs.f_bavail * fs.f_frsize + held, f"free in {folder}")
 
 
 def _refuse_beyond(what, nbytes, total, where):
@@ -236,8 +237,8 @@ class _Run:
             raise _UsageError(exc) from None
         self._sources = [urng.new_lfsr(dataclasses.replace(lfsr, seed=s))
                          for s in lfsr_seeds]
-        ev = fp_pipeline.Binary32 if args.mode == "pipeline" else transforms.Float64
-        self._rounds = transforms.evaluate(ev, algo, self._sources, count, clt)
+        self._rounds = transforms.evaluate(transforms.evaluator(args.mode), algo,
+                                           self._sources, count, clt)
         self._count = count
         self.meta = {
             "algorithm": algo,
@@ -343,16 +344,11 @@ def _cmd_bench(args):
 
 
 def _quadrature_rounds(rounds, variance):
-    """The (q, p) pairs of each round's values; the odd value a round may
-    end with opens the next round's first pair."""
-    left = np.empty(0)
+    """The (q, p) pairs of each round's values.  The run draws an even
+    count, which `transforms.evaluate` cuts into rounds of whole pairs."""
     for values in rounds:
-        if left.size:
-            values = np.concatenate((left, values))
-        even = values.size - values.size % 2
-        config = qkdmod.ModulationConfig(variance=variance, count=even // 2)
-        yield qkdmod.quadrature_stream(values[:even], config)
-        left = values[even:].astype(np.float64)  # a copy: the round buffer is reused
+        config = qkdmod.ModulationConfig(variance=variance, count=values.size // 2)
+        yield qkdmod.quadrature_stream(values, config)
 
 
 def _cmd_quadrature(args):

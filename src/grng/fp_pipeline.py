@@ -31,16 +31,16 @@ The three published architectures are defined once, in
 `transforms.ARCHITECTURES`, as functions of an evaluator.  This module
 adds two evaluators to the float64 reference one:
 
-* `Binary32` -- the core results on whole batches, without flags; the
-  batch generator `pipeline_stream` runs it.
+* `Binary32` -- the core results on whole batches, without flags: the
+  evaluator of pipeline mode, as `transforms.evaluator` maps it.
 * `PipelineTrace`, the evaluator of `run_graph` -- a batch of one that
   runs `Binary32`'s operations and logs each invocation's core, result
   and raw operands flat in one list.  Its (core, inputs, result) records
   and their flags are formed only when they are read, the flags by the
   rule each public `core_*` applies to its own result.
 
-The batch generator is therefore bit-identical to chaining `run_graph`
-calls by construction, and the per-pass invocation counts
+The batch driver under `Binary32` is therefore bit-identical to chaining
+`run_graph` calls by construction, and the per-pass invocation counts
 (`expected_core_counts`) come from tracing one pass of
 `transforms.arity(algo, k)` inputs: box-muller uses LOG,
 SQRT, SIN, COS and four multipliers; polar uses LOG, SQRT, DIV, five
@@ -364,6 +364,6 @@ def expected_core_counts(algo, *, k=12, accepted=True):
 
 
 def pipeline_stream(algo, sources, count, *, clt):
-    """Batch pipeline-mode generation; see transforms.stream for the contract."""
-    return transforms._join(transforms.evaluate(Binary32, algo, sources, count, clt),
-                            count)
+    """`transforms.stream` in pipeline mode.  Nothing in the package calls
+    it; it stays because `perfbench/traced.py` wraps it by name."""
+    return transforms.stream(algo, sources, count, mode="pipeline", clt=clt)

@@ -20,11 +20,12 @@ tests compare against them.  The batch datapath of each algorithm is
 written once, in `ARCHITECTURES`, as a function of an evaluator that
 supplies log, sin, cos, sqrt, mul, add and div: `Float64` here (reference
 mode), and the binary32 and traced binary32 evaluators of `fp_pipeline`.
-`evaluate` is the one batch driver of both modes: it yields the values in
-rounds of bounded size, each drawn into one round buffer that it reuses,
-cuts each round into blocks that run on every core, and closes the gaps
-polar's rejections leave in place.  `stream` joins the rounds into one
-array; the CLI writes them as they come.
+`evaluator` maps a mode to its evaluator.  `evaluate`, the one batch
+driver of both modes, yields the values in rounds of bounded size and
+whole pairs, each drawn into one round buffer that it reuses and cut into
+blocks that run on every core, and closes the gaps polar's rejections
+leave in place.  `stream` joins the rounds into one array; the CLI writes
+them as they come.
 `arity` owns the number of uniforms one pass reads, which sizes the sources
 here, the traced passes of `fp_pipeline` and the LFSR streams of `cli`.
 """
@@ -57,6 +58,7 @@ __all__ = [
     "box_muller",
     "central_limit",
     "evaluate",
+    "evaluator",
     "polar",
     "polar_draw",
     "stream",
@@ -337,16 +339,18 @@ def evaluate(ev, algo, sources, count, clt):
     one `StreamResult` per round: `values` holds the round's values, a view
     of one round buffer that the next round overwrites, and the counts are
     the run's totals through that round.  A run of no values yields one
-    empty round.  A round draws at most `_cores()` * `_ROUND` values and is
-    cut into contiguous blocks (`_block_starts`): block b draws from every
-    source jumped ahead to its first word, the blocks run on as many
-    threads as there are blocks, and each writes into the round buffer from
-    the row of its first pass on; the gaps polar's rejections leave are
-    closed before the round is yielded.  Polar plans its proposal rounds
-    from the values still needed and draws each planned round to its end,
-    in as many rounds as the bound needs.  As `words(a)` then `words(b)` is
-    `words(a + b)`, the bytes, the accounting and the sources' final state
-    do not depend on how the passes are cut.
+    empty round.  A round draws at most `_cores()` * `_ROUND` values,
+    rounded down to an even number, so every round but the last holds an
+    even number of values, whole pairs.  It is cut into contiguous blocks
+    (`_block_starts`): block b draws from every source jumped ahead to its
+    first word, the blocks run on as many threads as there are blocks, and
+    each writes into the round buffer from the row of its first pass on;
+    the gaps polar's rejections leave are closed before the round is
+    yielded.  Polar plans its proposal rounds from the values still needed
+    and draws each planned round to its end, in as many rounds as the
+    bound needs.  As `words(a)` then `words(b)` is `words(a + b)`, the
+    bytes, the accounting and the sources' final state do not depend on
+    how the passes are cut.
     """
     n = arity(algo, clt.k)
     if count < 0:
@@ -377,7 +381,7 @@ def evaluate(ev, algo, sources, count, clt):
         return max(256, int((need - have) / 0.80) + 1) if polar else need - have
 
     need = -(-count // width)
-    most = max(1, _cores() * _ROUND // width)
+    most = max(1, _cores() * _ROUND // 2) * 2 // width  # passes of an even round
     rows = np.empty((min(plan(0), most) if need else 0, width), ev.dtype)
     values = rows.reshape(-1)
     have = proposed = done = 0
@@ -411,19 +415,16 @@ def evaluate(ev, algo, sources, count, clt):
                            core_counts=ev.core_counts(algo, clt.k, 0, 0))
 
 
-def _join(rounds, count):
-    """The `StreamResult` of a run of `count` values from its `evaluate` rounds.
+def evaluator(mode):
+    """The evaluator of `mode`: `Float64` for "reference" and
+    `fp_pipeline.Binary32` for "pipeline"; any other mode is a ValueError."""
+    if mode == "pipeline":
+        from . import fp_pipeline  # it imports this module
 
-    Each round's values are copied into one output array as they come;
-    the counts are those of the last round.
-    """
-    out, at = None, 0
-    for result in rounds:
-        if out is None:
-            out = np.empty(count, result.values.dtype)
-        out[at:at + result.values.size] = result.values
-        at += result.values.size
-    return replace(result, values=out)
+        return fp_pipeline.Binary32
+    if mode != "reference":
+        raise ValueError(f"unknown mode {mode!r}")
+    return Float64
 
 
 def stream(algo, sources, count, *, mode="reference", clt=CltConfig()):
@@ -436,21 +437,17 @@ def stream(algo, sources, count, *, mode="reference", clt=CltConfig()):
     its sources in proposal rounds, so uniforms_consumed can slightly
     exceed the minimum needed to reach `count` outputs.
 
-    The values are drawn in rounds of at most 2^18 values per CPU this
-    process may run on (`os.sched_getaffinity`), each into one buffer that
-    the next round reuses and copied from it into `values`; `evaluate`
-    yields the rounds themselves.  A round of at least 2 * `_MIN_BLOCK`
-    passes is cut into equal blocks, one per CPU, each drawing from the
-    sources jumped to its first word and run on a thread of its own in a
-    copy of the caller's context.  The output, the accounting and the
-    sources' final `register` and `steps_taken` do not depend on the
-    thread count or the round bound; an exception in a block is raised
-    here.
+    `evaluate` draws the run under `evaluator(mode)` in rounds, cut into
+    blocks that run on every CPU this process may run on, and `stream`
+    copies each round into `values` as it comes.  The output, the
+    accounting and the sources' final `register` and `steps_taken` do not
+    depend on the thread count or the round bound; an exception in a block
+    is raised here.
     """
-    if mode == "pipeline":
-        from . import fp_pipeline
-
-        return fp_pipeline.pipeline_stream(algo, sources, count, clt=clt)
-    if mode != "reference":
-        raise ValueError(f"unknown mode {mode!r}")
-    return _join(evaluate(Float64, algo, sources, count, clt), count)
+    out, at = None, 0
+    for result in evaluate(evaluator(mode), algo, sources, count, clt):
+        if out is None:  # the first round has passed `evaluate`'s checks
+            out = np.empty(count, result.values.dtype)
+        out[at:at + result.values.size] = result.values
+        at += result.values.size
+    return replace(result, values=out)

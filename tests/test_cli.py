@@ -573,7 +573,7 @@ class TestGen:
                                    bound):
         """Rounds of `bound` values give the bytes, sidecars and accounting
         of one round: gen in every format, quadrature csv and json (whose
-        pairs can straddle odd clt rounds) and stream."""
+        pairs an odd clt bound must not split) and stream."""
         k = 5
 
         def outputs():
@@ -632,6 +632,24 @@ class TestGen:
         assert run("gen", "--n", "2000000", "--out", str(out)) == 0
         assert read_samples(out)[0].size == 2_000_000
         assert run("hist", str(out), "--bins", str(1 << 20)) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--n", "100000"),
+        ("quadrature", "--n", "50000"),
+    ])
+    def test_rewrite_counts_the_space_it_frees(self, tmp_path, monkeypatch, argv):
+        """With 64 KiB free, an output of 4 * 10^5 bytes or more is refused at
+        a fresh path and written over an existing output that holds more."""
+        out = tmp_path / "x.out"
+        assert run(*argv, "--out", str(out)) == 0
+        before = out.read_bytes()
+        out.write_bytes(b"\0" * len(before))
+        free = os.statvfs_result((4096, 4096, 0, 0, 16, 0, 0, 0, 0, 255))
+        monkeypatch.setattr(os, "statvfs", lambda path: free)
+        assert run(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == before
+        assert run(*argv, "--out", str(tmp_path / "fresh.out")) == 1
+        assert not (tmp_path / "fresh.out").exists()
 
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

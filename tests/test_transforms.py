@@ -222,6 +222,15 @@ class TestStream:
         with pytest.raises(ValueError, match="count must be >= 0"):
             stream("box-muller", make_sources(1, 2), -1)
 
+    def test_evaluator_maps_each_mode(self):
+        from grng import fp_pipeline
+
+        assert transforms.evaluator("reference") is transforms.Float64
+        assert transforms.evaluator("pipeline") is fp_pipeline.Binary32
+        for mode in ("bogus", "Reference", None):
+            with pytest.raises(ValueError, match=f"unknown mode {mode!r}"):
+                transforms.evaluator(mode)
+
     def test_source_arity_checked(self):
         with pytest.raises(ValueError):
             stream("box-muller", make_sources(1, 3), 10)
@@ -297,6 +306,28 @@ class TestBlocks:
                              res.pairs_accepted, res.core_counts,
                              [(s.register, s.steps_taken) for s in sources]))
             assert all(run == runs[0] for run in runs[1:]), count
+
+    @pytest.mark.parametrize("mode", ["reference", "pipeline"])
+    def test_rounds_hold_whole_pairs(self, monkeypatch, mode):
+        """Under odd round bounds every round but the last holds an even
+        number of values; box-muller's and polar's rounds are cut as their
+        passes already cut them."""
+        want = {
+            (1, 4097): {"box-muller": [4096] * 4 + [3617],
+                        "polar": [3186, 3220, 3220, 3250, 3248, 3248, 332, 297],
+                        "clt": [4096] * 4 + [3617]},
+            (3, 3001): {"box-muller": [9002, 9002, 1997],
+                        "polar": [7036, 7158, 5510, 297],
+                        "clt": [9002, 9002, 1997]},
+        }
+        for (threads, bound), by_algo in want.items():
+            cut_rounds(monkeypatch, threads, bound=bound)
+            for algo, sizes in by_algo.items():
+                sources = make_sources(7, transforms.arity(algo, 12))
+                got = [r.values.size for r in transforms.evaluate(
+                    transforms.evaluator(mode), algo, sources, 20_001, CltConfig())]
+                assert got == sizes, (threads, bound, algo)
+                assert all(size % 2 == 0 for size in got[:-1])
 
     def test_blocks_run_in_the_callers_context(self, monkeypatch):
         """Each block sees the caller's np.errstate, as numpy keeps it in a
