@@ -16,11 +16,11 @@ sequence:
 `write_samples` and `qkdmod`'s pair writers take one array, or an
 iterable of arrays such as the rounds of a `gen` run, each written as it
 comes: the file is that of their concatenation, and no writer holds more
-than one of them.  Text (csv and json samples, and the quadrature pairs)
-is encoded on every CPU the process may use: `_write_chunks` forks one
-worker per extra CPU, each encoding a contiguous run of an array's
-chunks, and appends their text in order, so the bytes do not depend on
-the CPU count.
+than one of them.  Every text output (csv and json samples, the
+quadrature pairs and `stats.Histogram.to_csv`) is encoded on every CPU the
+process may use by one loop, `_write_round`: it forks one worker per extra
+CPU, each encoding a contiguous run of the rows' chunks, and appends their
+text in order, so the bytes do not depend on the CPU count.
 
 `read_samples` takes the format from the bytes alone, never the name: the
 "GRNG" magic is bin, a leading "{" is json, and anything else is csv.  It
@@ -86,22 +86,21 @@ def _arrays(values):
 
 
 def _write_chunks(out, rows, encode, sep=""):
-    """Write encode(chunk) to `out` per _TEXT_CHUNK rows, `sep` between;
-    a chunk is float64 Python floats, as lists of rows for 2-d rows.
-
-    `rows` is one array-like or an iterable of arrays (`_arrays`), each
-    written as it comes, so the text is that of their concatenation.
-    """
+    """`_write_round` of each array of `rows` (`_arrays`) as it comes, `sep`
+    between, so the text is that of their concatenation; `encode` gets each
+    chunk as float64 Python floats, as lists of rows for 2-d rows."""
     lead = ""
+    floats = lambda c: encode(c.astype(np.float64, copy=False).tolist())  # noqa: E731
     for part in _arrays(rows):
         if len(part):
             out.write(lead)
-            _write_round(out, part, encode, sep)
+            _write_round(out, part, floats, sep)
             lead = sep
 
 
 def _write_round(out, rows, encode, sep):
-    """`_write_chunks` of one array.
+    """Write encode(rows[i:i + _TEXT_CHUNK]) per chunk to `out`, `sep`
+    between; `rows` is any sliceable with a len(), such as a range.
 
     The chunks are cut into one contiguous part per CPU: forked workers
     (`_fork_part`) encode the parts after the first while this process
@@ -143,11 +142,10 @@ def _write_round(out, rows, encode, sep):
 
 
 def _encode_part(out, rows, start, stop, encode, sep):
-    """Write the chunks of rows[start:stop] to `out`, each but row 0's
-    after `sep`."""
+    """Write encode(chunk) of each chunk of rows[start:stop] to `out`, each
+    but row 0's after `sep`; `encode` gets the rows' own slice."""
     for i in range(start, stop, _TEXT_CHUNK):
-        chunk = rows[i:i + _TEXT_CHUNK].astype(np.float64, copy=False)
-        out.write((sep if i else "") + encode(chunk.tolist()))
+        out.write((sep if i else "") + encode(rows[i:i + _TEXT_CHUNK]))
 
 
 def _fork_part(rows, start, stop, encode, sep):

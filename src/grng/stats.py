@@ -353,20 +353,18 @@ class Histogram:
     def to_csv(self, out):
         """Write a bin_lo,bin_hi,count header and one line per bin to `out`.
 
-        Lines are formatted from Python floats and ints, `sampleio`'s text
-        chunk of bins at a time, so the Python objects alive stay bounded.
+        The bins go to `sampleio._write_round` as `range(bins)`, so they are
+        encoded on every CPU, each chunk from its own slices of `bin_edges`
+        and `counts`: no copy of the bins is made.
         """
         out.write("bin_lo,bin_hi,count\n")
-        step = sampleio._TEXT_CHUNK
-        for i in range(0, self.counts.size, step):
-            out.write(_csv_lines(self.bin_edges[i:i + step + 1].tolist(),
-                                 self.counts[i:i + step].tolist()))
+        sampleio._write_round(out, range(self.counts.size), self._csv_lines, "")
 
-
-def _csv_lines(edges, counts):
-    """The bin_lo,bin_hi,count lines of the bins between `edges`."""
-    return "".join(f"{lo!r},{hi!r},{c}\n"
-                   for lo, hi, c in zip(edges, edges[1:], counts))
+    def _csv_lines(self, bins):
+        """The bin_lo,bin_hi,count lines of the bins in the range `bins`."""
+        edges = self.bin_edges[bins.start:bins.stop + 1].tolist()
+        counts = self.counts[bins.start:bins.stop].tolist()
+        return "".join(f"{lo!r},{hi!r},{c}\n" for lo, hi, c in zip(edges, edges[1:], counts))
 
 
 def _as_sample(samples):

@@ -651,6 +651,39 @@ class TestGen:
         assert run(*argv, "--out", str(tmp_path / "fresh.out")) == 1
         assert not (tmp_path / "fresh.out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--n", "1000"),
+        ("quadrature", "--n", "100"),
+    ])
+    def test_fifo_output_is_not_checked(self, tmp_path, monkeypatch, argv):
+        """An output that is no regular file skips the space check: with no
+        space free, a FIFO still gets the bytes of a regular-file run (each
+        under the 64 KiB a pipe buffers, so nothing blocks)."""
+        assert run(*argv, "--out", str(tmp_path / "x.out")) == 0
+        want = (tmp_path / "x.out").read_bytes()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            none = os.statvfs_result((4096, 4096, 0, 0, 0, 0, 0, 0, 0, 255))
+            monkeypatch.setattr(os, "statvfs", lambda path: none)
+            assert run(*argv, "--out", str(fifo)) == 0
+            got = os.read(reader, 1 << 17)
+        finally:
+            os.close(reader)
+        assert got == want
+
+    @pytest.mark.parametrize("command", ["gen", "quadrature"])
+    def test_missing_folder_is_one_line_error(self, tmp_path, capsys, command):
+        """statvfs fails on a folder that does not exist; opening the
+        output then reports it, naming the output."""
+        out = tmp_path / "missing" / "x.out"
+        assert run(command, "--n", "10", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert f"'{out}'" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 4.00 EiB")
