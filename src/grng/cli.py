@@ -64,16 +64,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _check_memory(what, nbytes):
-    """Refuse a request whose arrays alone exceed physical memory.
-
-    Such a request can only end in an allocation error or the kernel's
-    out-of-memory killer, so it is refused before any work.
-    """
-    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    _refuse_beyond(what, nbytes, total, "of memory")
-
-
 def _check_space(path, count):
     """Refuse an output file of `count` values that its file system's free
     space cannot hold.
@@ -130,7 +120,9 @@ def _domain(convert, ok, rule):
 
 def _add_gen_args(p):
     p.add_argument("--algo", choices=transforms.ALGORITHMS, default="box-muller")
-    p.add_argument("--n", type=_domain(int, lambda n: n >= 1, "an integer >= 1"),
+    # every count a run draws (2n for quadrature) then fits len() and uint64
+    p.add_argument("--n", type=_domain(int, lambda n: 1 <= n < 1 << 62,
+                                       "an integer in [1, 2**62)"),
                    default=1000, help="number of samples")
     # derive_seeds reads the seed modulo 2**64, so a wider value would write
     # the samples of another seed under its own name in the sidecar
@@ -139,8 +131,7 @@ def _add_gen_args(p):
                                           "an integer in [0, 2**64)"),
                    default=_EnvSeed(os.environ.get("GRNG_SEED") or "1"),
                    help="64-bit master seed (default: $GRNG_SEED or 1)")
-    p.add_argument("--mode", choices=("reference", "pipeline"),
-                   default="reference")
+    p.add_argument("--mode", choices=transforms.MODES, default="reference")
     p.add_argument("--k", type=_domain(int, lambda k: 2 <= k <= _MAX_K,
                                        f"an integer in [2, {_MAX_K}]"),
                    default=12, help="CLT summand count")
@@ -307,8 +298,10 @@ def _cmd_test(args):
 
 
 def _cmd_hist(args):
-    # float64 edges and int64 counts
-    _check_memory(f"{args.bins} bins", 16 * args.bins)
+    # float64 edges and int64 counts beyond physical memory could only end in
+    # an allocation error or the out-of-memory killer: refused before any work
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    _refuse_beyond(f"{args.bins} bins", 16 * args.bins, memory, "of memory")
     values, _mode = sampleio.read_samples(args.input)
     hist = stats.build_histogram(values, bins=args.bins)
     if args.out:

@@ -3,8 +3,9 @@
 Three interchangeable formats, all byte-deterministic for a given value
 sequence:
 
-* bin  -- 16-byte header (magic "GRNG", uint32 mode code, uint64 count,
-  little-endian) followed by little-endian IEEE-754 payload: float64 in
+* bin  -- 16-byte header (magic "GRNG", uint32 mode code: the mode's index
+  in `transforms.MODES`, uint64 count, little-endian) followed by the
+  little-endian payload of the mode's evaluator `dtype`: float64 in
   reference mode, float32 in pipeline mode.  Bit-exact interchange.
 * csv  -- one value per line, printed with repr (shortest round-trip
   decimal), no header.
@@ -13,10 +14,10 @@ sequence:
   integer equal to its length, and "mode", when present and not null, a
   known mode.
 
-`write_samples` and `qkdmod`'s pair writers take one array, or an
-iterable of arrays such as the rounds of a `gen` run, each written as it
-comes: the file is that of their concatenation, and no writer holds more
-than one of them.  Every text output (csv and json samples, the
+`write_samples` and `qkdmod`'s pair writers take one array, list or tuple,
+or any other iterable of arrays, such as the rounds of a `gen` run, each
+written as it comes: the file is that of their concatenation, and no writer
+holds more than one of them.  Every text output (csv and json samples, the
 quadrature pairs and `stats.Histogram.to_csv`) is encoded on every CPU the
 process may use by one loop, `_write_round`: it forks one worker per extra
 CPU, each encoding a contiguous run of the rows' chunks, and appends their
@@ -34,6 +35,7 @@ consumption, so runs are reproducible from the artifact alone.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -57,15 +59,10 @@ __all__ = [
 MAGIC = b"GRNG"
 FORMATS = ("csv", "json", "bin")
 
-_MODE_CODES = {"reference": 0, "pipeline": 1}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
-_DTYPES = {"reference": "<f8", "pipeline": "<f4"}
 _TEXT_CHUNK = 1 << 16  # rows formatted per write: bounds the Python floats alive
 #: Exit status of a text worker that ran out of memory (ENOMEM's number), so
 #: the caller raises MemoryError as a serial encoding would.
 _NO_MEMORY = 12
-#: What the writers take as one array; any other iterable is a run's rounds.
-_ARRAY_LIKE = (np.ndarray, list, tuple)
 
 
 class ParseError(ValueError):
@@ -74,28 +71,37 @@ class ParseError(ValueError):
 
 def _dtype_for(mode):
     try:
-        return np.dtype(_DTYPES[mode])
-    except KeyError:
+        return np.dtype(transforms.evaluator(mode).dtype).newbyteorder("<")
+    except ValueError:
         raise ParseError(f"unknown mode {mode!r}") from None
 
 
-def _arrays(values):
-    """The arrays of `values`: one array-like (an array, list or tuple), or
-    any other iterable of arrays, such as a run's rounds, read in turn."""
-    return (np.asarray(values),) if isinstance(values, _ARRAY_LIKE) else values
+def _arrays(values, row=()):
+    """The arrays of `values`, in an iterable that `_arrays` passes on: one
+    (m, *row) array, list or tuple, or any other iterable of arrays, such as
+    a run's rounds.  An array-like of another shape is a ValueError."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        return values
+    with contextlib.suppress(ValueError):  # numpy refuses ragged rows
+        if (array := np.asarray(values)).ndim and array.shape[1:] == row:
+            return iter((array,))
+    shape = ", ".join(["m", *map(str, row)])
+    raise ValueError(f"expected one array of shape ({shape}), or rounds as an iterable")
 
 
-def _write_chunks(out, rows, encode, sep=""):
-    """`_write_round` of each array of `rows` (`_arrays`) as it comes, `sep`
-    between, so the text is that of their concatenation; `encode` gets each
-    chunk as float64 Python floats, as lists of rows for 2-d rows."""
-    lead = ""
+def _write_chunks(out, rows, encode, sep="", head="", tail=""):
+    """`head`, `_write_round` of each array of `rows` (`_arrays`), `sep`
+    between, then `tail`: the text of their concatenation; `encode` gets
+    each chunk as float64 Python floats, as lists of rows for 2-d rows."""
+    rows, lead = _arrays(rows), ""
+    out.write(head)
     floats = lambda c: encode(c.astype(np.float64, copy=False).tolist())  # noqa: E731
-    for part in _arrays(rows):
+    for part in rows:
         if len(part):
             out.write(lead)
             _write_round(out, part, floats, sep)
             lead = sep
+    out.write(tail)
 
 
 def _write_round(out, rows, encode, sep):
@@ -181,30 +187,28 @@ def _fork_part(rows, start, stop, encode, sep):
 def write_samples(path, values, mode, fmt):
     """Write a value sequence in the requested format; returns the Path.
 
-    `values` is one array-like, or an iterable of arrays with a len(), their
-    total size, such as the rounds of a `gen` run: each is written as it
-    comes, and the file holds their concatenation.
+    `values` is one 1-d array, list or tuple, or any other iterable of
+    arrays with a len(), their total size, such as the rounds of a `gen`
+    run: each is written as it comes, and the file holds their concatenation.
     """
-    path = Path(path)
-    count = np.size(values) if isinstance(values, _ARRAY_LIKE) else len(values)
+    path, parts, count = Path(path), _arrays(values), len(values)
     dtype = _dtype_for(mode)  # every format names a known mode
     if fmt == "bin":
-        header = MAGIC + struct.pack("<IQ", _MODE_CODES[mode], count)
+        header = MAGIC + struct.pack("<IQ", transforms.MODES.index(mode), count)
         with path.open("wb") as out:
             out.write(header)
-            for part in _arrays(values):
+            for part in parts:
                 # the samples' own buffer when they already have the file's dtype
                 out.write(np.ascontiguousarray(part, dtype=dtype).data)
     elif fmt == "csv":
         with path.open("w") as out:
-            _write_chunks(out, values, lambda c: "\n".join(map(repr, c)) + "\n")
+            _write_chunks(out, parts, lambda c: "\n".join(map(repr, c)) + "\n")
     elif fmt == "json":
         head = json.dumps({"magic": MAGIC.decode(), "mode": mode,
                            "count": int(count)})
         with path.open("w") as out:
-            out.write(head[:-1] + ', "values": [')
-            _write_chunks(out, values, lambda c: json.dumps(c)[1:-1], sep=", ")
-            out.write("]}")
+            _write_chunks(out, parts, lambda c: json.dumps(c)[1:-1], ", ",
+                          head[:-1] + ', "values": [', "]}")
     else:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     return path
@@ -240,7 +244,7 @@ def read_samples(path):
         count, mode = doc.get("count", values.size), doc.get("mode")
         if type(count) is not int or count != values.size:  # not True, not 1.0
             raise ParseError(f"{path}: header claims {count!r} values, found {values.size}")
-        if mode not in (None, *_MODE_CODES):
+        if mode not in (None, *transforms.MODES):
             raise ParseError(f"unknown mode {mode!r} in {path}")
         return values, mode
     try:
@@ -255,9 +259,9 @@ def _read_bin(path, fh, head):
     if len(head) < 16:
         raise ParseError(f"{path} is not a GRNG binary sample file")
     mode_code, count = struct.unpack("<IQ", head[4:16])
-    if mode_code not in _MODE_NAMES:
+    if mode_code >= len(transforms.MODES):
         raise ParseError(f"unknown mode code {mode_code} in {path}")
-    mode = _MODE_NAMES[mode_code]
+    mode = transforms.MODES[mode_code]
     dtype = _dtype_for(mode)
     payload = os.fstat(fh.fileno()).st_size - 16
     if payload != count * dtype.itemsize:

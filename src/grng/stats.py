@@ -50,7 +50,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 import numpy as np
 

@@ -52,6 +52,7 @@ __all__ = [
     "Float64",
     "GaussianPair",
     "LengthMismatchError",
+    "MODES",
     "PolarDraw",
     "StreamResult",
     "arity",
@@ -226,6 +227,7 @@ ARCHITECTURES = {"box-muller": _box_muller, "polar": _polar, "clt": _clt}
 
 #: Algorithm identifiers shared with the CLI.
 ALGORITHMS = tuple(ARCHITECTURES)
+MODES = ("reference", "pipeline")  # index = bin header mode code; keep order
 
 
 def arity(algo, k):
@@ -416,14 +418,14 @@ def evaluate(ev, algo, sources, count, clt):
 
 
 def evaluator(mode):
-    """The evaluator of `mode`: `Float64` for "reference" and
-    `fp_pipeline.Binary32` for "pipeline"; any other mode is a ValueError."""
+    """The evaluator of `mode` in `MODES`, whose `dtype` is its sample type:
+    `Float64` or `fp_pipeline.Binary32`; any other mode is a ValueError."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "pipeline":
         from . import fp_pipeline  # it imports this module
 
         return fp_pipeline.Binary32
-    if mode != "reference":
-        raise ValueError(f"unknown mode {mode!r}")
     return Float64
 
 

@@ -42,6 +42,9 @@ def assert_one_line_error(stderr):
 BAD_INPUTS = {
     # a header for one float64 value, then 5 of its 8 bytes
     "truncated.bin": sampleio.MAGIC + struct.pack("<IQ", 0, 1) + b"\x00" * 5,
+    # one value under a mode code past `transforms.MODES`
+    "mode-2.bin": sampleio.MAGIC + struct.pack("<IQ", 2, 1) + b"\x00" * 8,
+    "mode-max.bin": sampleio.MAGIC + struct.pack("<IQ", 2**32 - 1, 1) + b"\x00" * 8,
     "nan.csv": b"0.5\n" * 60 + b"nan\n",
     "garbage.json": b'{"values": [1.0, 2',
     # json whose "values" is not a flat list of numbers, or whose count lies
@@ -500,6 +503,8 @@ class TestGen:
             ("--n", "0"),
             ("--n", "10", "--k", "1"),
             ("--n", "10", "--shards", "0"),
+            # 2n pairs' values and every count must fit len() and uint64
+            ("--n", str(1 << 62)),
         ]
         for argv in [
             *bounds,
@@ -525,6 +530,13 @@ class TestGen:
                 assert f"argument {argv[-2]}:" in captured.err
                 assert captured.out == ""
                 assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "bench", "quadrature"])
+    def test_n_bound_accepted(self, command):
+        """The largest --n parses; nothing is run."""
+        argv = [command, "--n", str((1 << 62) - 1)]
+        argv += ["--out", "x"] if command != "bench" else []
+        assert cli._build_parser().parse_args(argv).n == (1 << 62) - 1
 
     def test_k_bound_is_refused_before_any_seed(self, tmp_path):
         # 10^9 summands would be 10^9 derived seeds: a hang, not an error
@@ -870,6 +882,17 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys, command, name):
     path.write_bytes(BAD_INPUTS[name])
     assert run(command, str(path)) in (1, 2)
     assert_one_line_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["test", "hist"])
+@pytest.mark.parametrize("name", ["mode-2.bin", "mode-max.bin"])
+def test_unknown_bin_mode_code_is_a_data_error(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_bytes(BAD_INPUTS[name])
+    assert run(command, str(path)) == 2
+    err = capsys.readouterr().err
+    assert_one_line_error(err)
+    assert "unknown mode code" in err
 
 
 def _read_back(tmp_path, capsys, path):

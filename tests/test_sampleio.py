@@ -152,6 +152,23 @@ def test_integers_are_written_as_floats(tmp_path, writer, want, dtype):
     assert text == want
 
 
+@pytest.mark.parametrize("writer", ["bin", "csv", "json", "pairs_to_csv",
+                                    "pairs_to_json"])
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 3)])
+def test_a_list_of_rounds_is_refused(tmp_path, writer, sizes):
+    """A list is one array, so a list of two rounds, of equal or unequal
+    size, is a ValueError naming the row shape, raised before the file is
+    opened or any byte written."""
+    path, out = tmp_path / "x", io.StringIO()
+    if writer.startswith("pairs"):
+        with pytest.raises(ValueError, match=r"shape \(m, 2\)"):
+            getattr(qkdmod, writer)([np.zeros((n, 2)) for n in sizes], out)
+    else:
+        with pytest.raises(ValueError, match=r"shape \(m\)"):
+            write_samples(path, [np.zeros(n) for n in sizes], "reference", writer)
+    assert not path.exists() and out.getvalue() == ""
+
+
 def test_hist_csv_holds_no_copy_of_the_bins():
     """At 2^20 bins `to_csv` peaks at about 12 MB (traced, this process):
     one chunk's Python floats, ints and text.  A (lo, hi, count) copy of
